@@ -4,11 +4,9 @@ import (
 	"context"
 	"time"
 
-	"nustencil/internal/affinity"
 	"nustencil/internal/dist"
-	"nustencil/internal/machine"
+	"nustencil/internal/engine"
 	"nustencil/internal/memsim"
-	"nustencil/internal/perfcount"
 	"nustencil/internal/trace"
 )
 
@@ -63,55 +61,25 @@ func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool,
 		opts.Transport = s.distTune.Transport
 	}
 
-	var col *perfcount.Collector
-	var cmach *machine.Machine
-	var simCores int
+	var cnt *counting
 	if counted != nil {
-		name := counted.Machine
-		if name == "" {
-			name = XeonX7550
-		}
-		var err error
-		cmach, err = machineFor(name)
-		if err != nil {
-			return rep, nil, nil, err
-		}
 		// Each chare runs plain per-step sweeps regardless of cfg.Scheme,
-		// so the naive model prices the traffic honestly.
-		mod := memsim.Models()[string(Naive)]
-		simCores = workers
-		if simCores > cmach.NumCores() {
-			simCores = cmach.NumCores()
-		}
-		chareFactor := cfg.ChareFactor
-		if chareFactor < 1 {
-			chareFactor = dist.DefaultChareFactor
-		}
-		traffic := mod.Traffic(&memsim.Workload{
-			Machine:   cmach,
-			Stencil:   s.st,
+		// so the naive model prices the traffic honestly; a zero chare
+		// count takes the model's default factor, as the runtime does. The
+		// grid stays nil: per-node page-ownership attribution needs the
+		// tile geometry the chare runtime doesn't produce.
+		var err error
+		cnt, err = s.newCounting(counted, Naive, memsim.Workload{
 			Dims:      s.g.Dims(),
 			Timesteps: timesteps,
-			Cores:     simCores,
 			Ranks:     cfg.Ranks,
-			Chares:    cfg.Ranks * chareFactor,
-		})
-		topo := affinity.Fixed{Cores: workers, Nodes: cfg.NUMANodes}
-		col, err = perfcount.NewCollector(perfcount.Config{
-			Workers:            workers,
-			Nodes:              cfg.NUMANodes,
-			NodeOfWorker:       topo.NodeOfCore,
-			FlopsPerUpdate:     s.st.FlopsPerUpdate(),
-			MainBytesPerUpdate: traffic.MainWords * 8,
-			LLCBytesPerUpdate:  traffic.LLCWords * 8,
-			// Grid stays nil: per-node page-ownership attribution needs
-			// the tile geometry the chare runtime doesn't produce.
-		})
+			Chares:    cfg.Ranks * cfg.ChareFactor,
+		}, workers, nil)
 		if err != nil {
 			return rep, nil, nil, err
 		}
 		opts.OnExec = func(w int, n int64, d time.Duration) {
-			col.RecordTile(w, nil, n, d)
+			cnt.col.RecordTile(w, nil, n, d)
 		}
 	}
 
@@ -136,7 +104,7 @@ func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool,
 	rep.Updates = res.Updates
 	rep.Tiles = int(res.ChareSteps)
 	rep.UpdatesPerWorker = res.UpdatesPerWorker
-	rep.Imbalance = busyImbalance(res.BusyPerWorker)
+	rep.Imbalance = engine.Imbalance(res.BusyPerWorker)
 	rep.Migrations = res.Migrations
 	rep.Dist = &DistStats{
 		Ranks:          cfg.Ranks,
@@ -155,31 +123,11 @@ func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool,
 	}
 
 	var pc *PerfCounters
-	if col != nil {
-		counters := col.Counters()
+	if cnt != nil {
+		counters := cnt.col.Counters()
 		counters.Ranks = cfg.Ranks
 		counters.NetworkBytes = res.Net.Bytes()
-		pc = &PerfCounters{
-			c:    counters,
-			attr: perfcount.Attribute(counters, cmach, s.st, simCores, rep.Seconds),
-		}
+		pc = cnt.perf(counters, s.st, rep.Seconds)
 	}
 	return rep, tw, pc, nil
-}
-
-// busyImbalance is max/mean of the per-worker busy times (1.0 =
-// perfectly balanced, 0 if nothing ran).
-func busyImbalance(busy []time.Duration) float64 {
-	var max, sum time.Duration
-	for _, b := range busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum <= 0 || len(busy) == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(busy))
-	return float64(max) / mean
 }

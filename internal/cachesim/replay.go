@@ -118,6 +118,9 @@ func coresPerSocket(p *tiling.Problem) int {
 func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 	spacetime.AssignIDs(tiles)
 	deps := engine.BuildDeps(tiles, order, nil)
+	if err := engine.CheckDeps(deps); err != nil {
+		return nil, fmt.Errorf("cachesim: %w", err)
+	}
 	indeg := make([]int, len(tiles))
 	dependents := make([][]int, len(tiles))
 	for i, ds := range deps {
@@ -140,9 +143,9 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 			push(i)
 		}
 	}
+	// The graph is acyclic, so every round pops at least one ready tile.
 	var out []int
 	for len(out) < len(tiles) {
-		progressed := false
 		for w := 0; w < workers; w++ {
 			var i int
 			switch {
@@ -153,7 +156,6 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 			default:
 				continue
 			}
-			progressed = true
 			out = append(out, i)
 			for _, d := range dependents[i] {
 				indeg[d]--
@@ -161,9 +163,6 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 					push(d)
 				}
 			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("cachesim: tiling has a dependency cycle")
 		}
 	}
 	return out, nil

@@ -52,6 +52,23 @@ func BenchmarkBuildDeps(b *testing.B) {
 	b.ReportMetric(float64(len(tiles)), "tiles")
 }
 
+// BenchmarkCheckPlan measures the plan-time structural checks on the same
+// tiling: acyclicity, and consistency of the static per-worker order. A
+// solver pays them once per plan, next to BuildDeps.
+func BenchmarkCheckPlan(b *testing.B) {
+	tiles := bigTiling(b)
+	deps := engine.BuildDeps(tiles, 1, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := engine.CheckDeps(deps); err != nil {
+			b.Fatal(err)
+		}
+		if err := engine.CheckStatic(tiles, deps, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Two multi-timestep tiles on opposite edges of a periodic domain intersect
 // across the seam at every timestep; the derivation must record the wrap
 // edge exactly once per (dependent, dependency) pair.

@@ -161,19 +161,25 @@ func TestRunSharedQueueDrainsUnownedTiles(t *testing.T) {
 	}
 }
 
+// When Run derives the dependencies itself (Config.Deps nil), it checks
+// them and rejects a cyclic tiling before executing any tile.
 func TestRunDetectsCycle(t *testing.T) {
 	// Two side-by-side box tiles spanning several timesteps each read the
 	// other's earlier output: a tile-granular cycle.
 	interior := grid.NewBox([]int{0}, []int{20})
 	a := spacetime.NewTileFromBox(grid.NewBox([]int{0}, []int{10}), 0, 3, interior)
 	b := spacetime.NewTileFromBox(grid.NewBox([]int{10}, []int{20}), 0, 3, interior)
+	executed := 0
 	_, err := Run(spacetime.AssignIDs([]*spacetime.Tile{a, b}), Config{
 		Workers: 2,
 		Order:   1,
-		Exec:    func(int, *spacetime.Tile) int64 { return 0 },
+		Exec:    func(int, *spacetime.Tile) int64 { executed++; return 0 },
 	})
 	if err != ErrCycle {
 		t.Fatalf("err = %v, want ErrCycle", err)
+	}
+	if executed != 0 {
+		t.Fatalf("%d tiles executed before the cycle was reported", executed)
 	}
 }
 

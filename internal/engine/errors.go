@@ -1,6 +1,11 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+
+	"nustencil/internal/spacetime"
+)
 
 // PanicError is returned by Run and RunStatic when a worker's Exec — the
 // user kernel, a source or coefficient closure, anything reached from the
@@ -24,8 +29,18 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: worker %d panicked executing tile %d: %v", e.Worker, e.Tile, e.Value)
 }
 
+// newPanicError wraps value r, recovered on worker w while it executed
+// tiles[cur] (cur < 0: outside any tile body), with the current stack.
+func newPanicError(tiles []*spacetime.Tile, cur, w int, r any) *PanicError {
+	id := -1
+	if cur >= 0 {
+		id = tiles[cur].ID
+	}
+	return &PanicError{Tile: id, Worker: w, Value: r, Stack: debug.Stack()}
+}
+
 // Terminal states of one run, held in a single atomic status word. Folding
-// completion, failure, cancellation, and panic into one word keeps the
+// completion, cancellation, and panic into one word keeps the
 // worker hot path at exactly one atomic load per tile, and the
 // compare-and-swap out of runActive makes the first terminal event win —
 // later ones (a cancel racing a panic, say) leave the recorded outcome
@@ -33,7 +48,6 @@ func (e *PanicError) Error() string {
 const (
 	runActive int32 = iota
 	runDone
-	runBlocked // dependency cycle (Run) or inconsistent static schedule (RunStatic)
 	runCancelled
 	runPanicked
 )

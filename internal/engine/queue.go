@@ -21,10 +21,6 @@ type tileQueue struct {
 	tail atomic.Int32 // next slot to reserve
 }
 
-func newTileQueue(capacity int) tileQueue {
-	return tileQueue{buf: make([]atomic.Int32, capacity)}
-}
-
 // reset points the queue at an externally owned (already zeroed) backing
 // segment and rewinds the cursors, so pooled runs reuse one flat buffer
 // for every queue instead of allocating per queue per run.
@@ -63,11 +59,4 @@ func (q *tileQueue) pop() int {
 			}
 		}
 	}
-}
-
-// hasReady reports whether an undrained tile is (or is about to be)
-// available. Used by the idle-worker consensus: a reserved-but-unpublished
-// slot counts as ready, which errs on the side of not declaring a cycle.
-func (q *tileQueue) hasReady() bool {
-	return q.head.Load() < q.tail.Load()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -16,10 +15,6 @@ import (
 	"nustencil/internal/spacetime"
 	"nustencil/internal/xsync"
 )
-
-// ErrCycle is returned when the tile dependency graph is not a DAG — the
-// tiling is not a legal time skewing.
-var ErrCycle = errors.New("engine: dependency cycle in tiling (illegal time skewing)")
 
 // Exec executes one tile on behalf of worker w and returns the number of
 // point updates performed. The engine guarantees that all tiles the tile
@@ -39,9 +34,12 @@ type Config struct {
 	Wrap []int
 	// Deps, when non-nil, is the precomputed dependency graph for the tiles
 	// (as returned by BuildDeps after spacetime.AssignIDs): Deps[i] lists the
-	// tile indices tile i flow-depends on. Callers that execute the same
-	// tiling repeatedly can derive it once and skip the per-Run derivation;
-	// when nil, Run derives it from Order and Wrap.
+	// tile indices tile i flow-depends on. It must have passed CheckDeps, and
+	// CheckStatic for RunStatic: the executors trust it and do not look for
+	// cycles while running. Callers that execute the same tiling repeatedly
+	// derive and check it once and skip the per-Run derivation; when nil,
+	// Run and RunStatic derive it from Order and Wrap and check it
+	// themselves.
 	Deps [][]int
 	// Pin locks each worker goroutine to an OS thread and best-effort pins
 	// it to CPU w (Linux). Purely an optimization for real runs.
@@ -110,9 +108,13 @@ type Stats struct {
 
 // Imbalance returns max/mean of per-worker busy time — 1.0 is a perfectly
 // balanced run. Returns 0 when nothing ran.
-func (s *Stats) Imbalance() float64 {
+func (s *Stats) Imbalance() float64 { return Imbalance(s.BusyPerWorker) }
+
+// Imbalance returns max/mean of the per-worker busy times busy (1.0 =
+// perfectly balanced, 0 when nothing ran).
+func Imbalance(busy []time.Duration) float64 {
 	var sum, maxB time.Duration
-	for _, b := range s.BusyPerWorker {
+	for _, b := range busy {
 		sum += b
 		if b > maxB {
 			maxB = b
@@ -121,8 +123,46 @@ func (s *Stats) Imbalance() float64 {
 	if sum <= 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(s.BusyPerWorker))
+	mean := float64(sum) / float64(len(busy))
 	return float64(maxB) / mean
+}
+
+// newStats validates cfg and returns the zeroed Stats a run fills in, or
+// the error that refuses the run before it starts: a missing Exec, no
+// workers, or an already-cancelled Ctx.
+func newStats(cfg Config) (*Stats, error) {
+	if cfg.Exec == nil {
+		return nil, errors.New("engine: Config.Exec is required")
+	}
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("engine: workers must be positive, got %d", cfg.Workers)
+	}
+	if cfg.Ctx != nil {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return &Stats{
+		Workers:          cfg.Workers,
+		UpdatesPerWorker: make([]int64, cfg.Workers),
+		TilesPerWorker:   make([]int64, cfg.Workers),
+		BusyPerWorker:    make([]time.Duration, cfg.Workers),
+	}, nil
+}
+
+// result turns a finished run's terminal status into the executor's return
+// values: the context's error, the recorded panic, or the completed Stats.
+func (s *Stats) result(status int32, cfg Config, pe *PanicError) (*Stats, error) {
+	switch status {
+	case runCancelled:
+		return nil, cfg.Ctx.Err()
+	case runPanicked:
+		return nil, pe
+	}
+	for _, u := range s.UpdatesPerWorker {
+		s.TotalUpdates += u
+	}
+	return s, nil
 }
 
 // parkSpin is how many yield rounds a worker spins before parking. Small, so
@@ -150,7 +190,7 @@ type runState struct {
 	parkers []xsync.Parker
 
 	remaining atomic.Int32 // tiles not yet executed
-	idle      atomic.Int32 // workers currently out of work
+	idle      atomic.Int32 // workers currently parked (sampler gauge only)
 	status    atomic.Int32 // runActive until the first terminal event (CAS)
 	panicErr  *PanicError  // set by the worker whose CAS to runPanicked won
 }
@@ -170,29 +210,19 @@ func (st *runState) fail(to int32) bool {
 // dependencies implied by the geometry for a stencil of order cfg.Order.
 // Tiles with Owner >= 0 run only on worker Owner % Workers (data-to-core
 // affinity); tiles with Owner < 0 go to a shared queue any worker may drain
-// (the NUMA-ignorant case). Run returns ErrCycle if the tiling deadlocks,
-// cfg.Ctx.Err() if the context is cancelled mid-run, and a *PanicError if
-// any Exec panics. On any error the grid may be partially updated — it is
-// the caller's job to treat the state as unusable (see Solver poisoning).
+// (the NUMA-ignorant case). When cfg.Deps is nil, Run derives the
+// dependencies and returns ErrCycle, before executing anything, if they
+// are cyclic; a caller-supplied cfg.Deps must already have passed
+// CheckDeps. Run returns cfg.Ctx.Err() if the context is cancelled mid-run
+// and a *PanicError if any Exec panics. On those errors the grid may be
+// partially updated — it is the caller's job to treat the state as
+// unusable (see Solver poisoning).
 func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
-	if cfg.Exec == nil {
-		return nil, errors.New("engine: Config.Exec is required")
+	stats, err := newStats(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("engine: workers must be positive, got %d", cfg.Workers)
-	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	stats := &Stats{
-		Workers:          cfg.Workers,
-		UpdatesPerWorker: make([]int64, cfg.Workers),
-		TilesPerWorker:   make([]int64, cfg.Workers),
-		BusyPerWorker:    make([]time.Duration, cfg.Workers),
-		Sched:            make([]SchedCounters, cfg.Workers),
-	}
+	stats.Sched = make([]SchedCounters, cfg.Workers)
 	if len(tiles) == 0 {
 		return stats, nil
 	}
@@ -200,6 +230,9 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	deps := cfg.Deps
 	if deps == nil {
 		deps = BuildDeps(tiles, cfg.Order, cfg.Wrap)
+		if err := CheckDeps(deps); err != nil {
+			return nil, err
+		}
 	}
 
 	// All per-run scheduler buffers come from a pool and are returned once
@@ -245,26 +278,7 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 		}
 	}
 
-	// The context watcher translates cancellation into the shared status
-	// word and an Unpark broadcast, so parked workers wake to observe it.
-	// It is torn down (and never leaks) when the run finishes first; Run
-	// joins it before returning so a watcher mid-broadcast can never touch
-	// the pooled parkers after they are recycled into a later run.
-	var watcherStop, watcherDone chan struct{}
-	if cfg.Ctx != nil {
-		if done := cfg.Ctx.Done(); done != nil {
-			watcherStop = make(chan struct{})
-			watcherDone = make(chan struct{})
-			go func() {
-				defer close(watcherDone)
-				select {
-				case <-done:
-					st.fail(runCancelled)
-				case <-watcherStop:
-				}
-			}()
-		}
-	}
+	stopWatch := watchCtx(cfg.Ctx, &st.status, st.parkers)
 
 	stopSampler := startSampler(cfg, func() Sample {
 		return Sample{Ready: st.readyDepth(), Idle: int(st.idle.Load())}
@@ -287,22 +301,37 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	}
 	wg.Wait()
 	stopSampler()
-	if watcherStop != nil {
-		close(watcherStop)
-		<-watcherDone
+	stopWatch()
+	return stats.result(st.status.Load(), cfg, st.panicErr)
+}
+
+// watchCtx translates ctx cancellation into the run's status word: it
+// moves status from runActive to runCancelled and, on winning, unparks
+// parkers so parked workers wake to observe it (spinning workers poll the
+// word). The returned stop tears the watcher down and joins it, so a
+// broadcast in flight never touches pooled parkers after the run returns.
+// A nil or never-done ctx starts no goroutine.
+func watchCtx(ctx context.Context, status *atomic.Int32, parkers []xsync.Parker) (stop func()) {
+	if ctx == nil || ctx.Done() == nil {
+		return func() {}
 	}
-	switch st.status.Load() {
-	case runBlocked:
-		return nil, ErrCycle
-	case runCancelled:
-		return nil, cfg.Ctx.Err()
-	case runPanicked:
-		return nil, st.panicErr
+	done, stopCh, exited := ctx.Done(), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		select {
+		case <-done:
+			if status.CompareAndSwap(runActive, runCancelled) {
+				for w := range parkers {
+					parkers[w].Unpark()
+				}
+			}
+		case <-stopCh:
+		}
+	}()
+	return func() {
+		close(stopCh)
+		<-exited
 	}
-	for _, u := range stats.UpdatesPerWorker {
-		stats.TotalUpdates += u
-	}
-	return stats, nil
 }
 
 // route enqueues ready tile i without waking anyone (setup phase).
@@ -348,21 +377,6 @@ func (st *runState) unparkAll() {
 	}
 }
 
-// anyReady reports whether any queue holds an undrained tile. Used by the
-// idle-worker consensus to distinguish "a worker has pending work it has not
-// yet woken up for" from a true dependency cycle.
-func (st *runState) anyReady() bool {
-	if st.sharedQ.hasReady() {
-		return true
-	}
-	for w := range st.ownQ {
-		if st.ownQ[w].hasReady() {
-			return true
-		}
-	}
-	return false
-}
-
 // next returns the next tile for worker w: its own queue first (preserving
 // the order tiles became ready for it), then the shared queue. Returns -1 if
 // nothing is ready for w right now; shared reports which queue the tile
@@ -388,15 +402,8 @@ func (st *runState) worker(w int, cfg Config, stats *Stats) {
 	var sc SchedCounters
 	defer func() {
 		stats.Sched[w] = sc
-		if r := recover(); r != nil {
-			id := -1
-			if cur >= 0 {
-				id = st.tiles[cur].ID
-			}
-			pe := &PanicError{Tile: id, Worker: w, Value: r, Stack: debug.Stack()}
-			if st.fail(runPanicked) {
-				st.panicErr = pe
-			}
+		if r := recover(); r != nil && st.fail(runPanicked) {
+			st.panicErr = newPanicError(st.tiles, cur, w, r)
 		}
 	}()
 	for {
@@ -406,20 +413,12 @@ func (st *runState) worker(w int, cfg Config, stats *Stats) {
 		i, shared := st.next(w)
 		if i < 0 {
 			sc.EmptyPolls++
-			// Out of work: register idle, then decide between parking and
-			// declaring a cycle. Completers push (and arm Parkers) before
-			// decrementing remaining, and idle counts no executing worker,
-			// so when idle == Workers every completed tile's pushes are
-			// visible: empty queues plus remaining tiles mean no tile can
-			// ever become ready again — a true cycle, reported soundly.
-			// (A worker stuck in Exec keeps idle below Workers, so a panic
-			// or cancel landing there can never be misreported as a cycle.)
-			n := st.idle.Add(1)
-			if n == int32(cfg.Workers) && st.remaining.Load() > 0 && !st.anyReady() {
-				st.fail(runBlocked)
-				st.idle.Add(-1)
-				continue
-			}
+			// Out of work: park until a publish, the final completion, or a
+			// terminal event unparks this worker. The dependencies were
+			// checked acyclic before the run, so until the last completion
+			// some unfinished tile is always ready or executing; liveness
+			// needs no runtime check, and idle only feeds the sampler.
+			st.idle.Add(1)
 			st.parkers[w].Park(parkSpin)
 			sc.Parks++
 			st.idle.Add(-1)

@@ -4,9 +4,9 @@ import "time"
 
 // Sample is one periodic scheduler observation, delivered to
 // Config.OnSample by the sampler goroutine Config.SampleEvery enables.
-// Every field is read from atomics the scheduler already maintains for its
-// own bookkeeping (queue indices, the idle-worker consensus), so sampling
-// adds no atomics — and no code at all — to the per-tile hot path.
+// Every field is read from atomics the executors maintain next to their own
+// bookkeeping (queue indices, idle and waiting worker counts), so sampling
+// adds no code to the per-tile hot path.
 type Sample struct {
 	// Elapsed is the time since the run's workers started.
 	Elapsed time.Duration

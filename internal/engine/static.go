@@ -2,10 +2,7 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -15,14 +12,6 @@ import (
 	"nustencil/internal/spacetime"
 	"nustencil/internal/xsync"
 )
-
-// ErrStaticDeadlock is returned when the static schedule cannot make
-// progress: every worker is spin-waiting on a flag no one will ever set.
-var ErrStaticDeadlock = errors.New("engine: static schedule deadlocked (emission order inconsistent with dependencies)")
-
-// ErrUnownedTile rejects tilings with shared-queue tiles from the static
-// executor, which has no scheduler to assign them.
-var ErrUnownedTile = errors.New("engine: static execution requires every tile to have an owner")
 
 // RunStatic executes the tiling with the paper's literal synchronization
 // structure (Section III-B): each worker walks its own tiles in the
@@ -34,11 +23,12 @@ var ErrUnownedTile = errors.New("engine: static execution requires every tile to
 //
 // Unlike Run, there is no scheduler: the schedule is fixed up front, so a
 // tiler whose per-worker emission order is inconsistent with the
-// dependency order deadlocks — which RunStatic detects soundly (if every
-// worker is simultaneously waiting, no flag can ever be set) and reports
-// as ErrStaticDeadlock. All of this repository's NUMA-aware tilers emit in
-// dependency-consistent order; RunStatic exists to demonstrate that and to
-// measure scheduler overhead against Run.
+// dependency order would deadlock. That is a property of the plan, checked
+// once by CheckStatic: RunStatic calls CheckDeps and CheckStatic itself
+// only when it derives the dependencies (cfg.Deps == nil) and otherwise
+// trusts cfg.Deps to have passed both. All of this repository's NUMA-aware
+// tilers emit in dependency-consistent order; RunStatic exists to
+// demonstrate that and to measure scheduler overhead against Run.
 //
 // RunStatic shares Run's failure semantics: cfg.Ctx cancellation is
 // observed between tiles and inside every spin-wait (spinning workers poll
@@ -46,113 +36,58 @@ var ErrUnownedTile = errors.New("engine: static execution requires every tile to
 // in any Exec is recovered into a *PanicError that stops the other
 // workers instead of killing the process.
 func RunStatic(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
-	if cfg.Exec == nil {
-		return nil, errors.New("engine: Config.Exec is required")
-	}
-	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("engine: workers must be positive, got %d", cfg.Workers)
-	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	stats := &Stats{
-		Workers:          cfg.Workers,
-		UpdatesPerWorker: make([]int64, cfg.Workers),
-		TilesPerWorker:   make([]int64, cfg.Workers),
-		BusyPerWorker:    make([]time.Duration, cfg.Workers),
+	stats, err := newStats(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if len(tiles) == 0 {
 		return stats, nil
 	}
-	for _, t := range tiles {
-		if t.Owner < 0 {
-			return nil, ErrUnownedTile
-		}
+	listOff, listFlat, err := staticLists(tiles, cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
 	spacetime.AssignIDs(tiles)
 	deps := cfg.Deps
 	if deps == nil {
 		deps = BuildDeps(tiles, cfg.Order, cfg.Wrap)
+		if err := CheckDeps(deps); err != nil {
+			return nil, err
+		}
+		if err := CheckStatic(tiles, deps, cfg.Workers); err != nil {
+			return nil, err
+		}
 	}
 
 	flags := xsync.NewFlagTable(len(tiles))
-	// Per-worker static lists in CSR form: a counting pass sizes one flat
-	// buffer, instead of growing cfg.Workers slices by repeated append.
-	listOff := make([]int, cfg.Workers+1)
-	for _, t := range tiles {
-		listOff[t.Owner%cfg.Workers+1]++
-	}
-	for w := 1; w <= cfg.Workers; w++ {
-		listOff[w] += listOff[w-1]
-	}
-	listFlat := make([]int32, len(tiles))
-	listNext := make([]int, cfg.Workers)
-	copy(listNext, listOff[:cfg.Workers])
-	for i, t := range tiles {
-		w := t.Owner % cfg.Workers
-		listFlat[listNext[w]] = int32(i)
-		listNext[w]++
-	}
-
-	var waiting, finished atomic.Int32
+	// waiting and progress exist only for the sampler's Idle and Ready
+	// gauges; liveness was settled when the plan was checked.
+	var waiting atomic.Int32
 	var progress atomic.Int64
 	var status atomic.Int32 // runActive until the first terminal event
 	var panicErr *PanicError
 
 	// waitFlag spin-waits for flag i, bailing out on any terminal status
-	// (cancellation, a peer's panic, declared deadlock) and detecting global
-	// deadlock itself: if every worker is waiting or finished and no tile
-	// completes across a long observation window, no flag can ever be set
-	// again (only workers set flags).
+	// (cancellation or a peer's panic).
 	waitFlag := func(i int) bool {
 		if flags.IsSet(i) {
 			return true
 		}
 		waiting.Add(1)
 		defer waiting.Add(-1)
-		snap := progress.Load()
-		idle := 0
 		for !flags.IsSet(i) {
 			if status.Load() != runActive {
 				return false
 			}
 			runtime.Gosched()
-			if waiting.Load()+finished.Load() == int32(cfg.Workers) && progress.Load() == snap {
-				idle++
-				if idle > 1<<14 {
-					status.CompareAndSwap(runActive, runBlocked)
-					return false
-				}
-			} else {
-				idle = 0
-				snap = progress.Load()
-			}
 		}
 		return true
 	}
 
-	var watcherStop chan struct{}
-	if cfg.Ctx != nil {
-		if done := cfg.Ctx.Done(); done != nil {
-			watcherStop = make(chan struct{})
-			go func() {
-				select {
-				case <-done:
-					status.CompareAndSwap(runActive, runCancelled)
-				case <-watcherStop:
-				}
-			}()
-		}
-	}
+	stopWatch := watchCtx(cfg.Ctx, &status, nil)
 
 	stopSampler := startSampler(cfg, func() Sample {
-		ready := int64(len(tiles)) - progress.Load()
-		if ready < 0 {
-			ready = 0
-		}
-		return Sample{Ready: int(ready), Idle: int(waiting.Load())}
+		return Sample{Ready: len(tiles) - int(progress.Load()), Idle: int(waiting.Load())}
 	})
 
 	var wg sync.WaitGroup
@@ -160,18 +95,10 @@ func RunStatic(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer finished.Add(1)
 			cur := -1
 			defer func() {
-				if r := recover(); r != nil {
-					id := -1
-					if cur >= 0 {
-						id = tiles[cur].ID
-					}
-					pe := &PanicError{Tile: id, Worker: w, Value: r, Stack: debug.Stack()}
-					if status.CompareAndSwap(runActive, runPanicked) {
-						panicErr = pe
-					}
+				if r := recover(); r != nil && status.CompareAndSwap(runActive, runPanicked) {
+					panicErr = newPanicError(tiles, cur, w, r)
 				}
 			}()
 			if cfg.Pin {
@@ -205,19 +132,6 @@ func RunStatic(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	}
 	wg.Wait()
 	stopSampler()
-	if watcherStop != nil {
-		close(watcherStop)
-	}
-	switch status.Load() {
-	case runBlocked:
-		return nil, ErrStaticDeadlock
-	case runCancelled:
-		return nil, cfg.Ctx.Err()
-	case runPanicked:
-		return nil, panicErr
-	}
-	for _, u := range stats.UpdatesPerWorker {
-		stats.TotalUpdates += u
-	}
-	return stats, nil
+	stopWatch()
+	return stats.result(status.Load(), cfg, panicErr)
 }

@@ -70,9 +70,9 @@ func TestRunStaticMatchesReference(t *testing.T) {
 	}
 }
 
-// An emission order inconsistent with the dependencies must be detected as
-// a deadlock, not hang: worker 0's first tile needs worker 1's second and
-// vice versa.
+// An emission order inconsistent with the dependencies must be rejected as
+// a deadlock before any tile runs, not hang: worker 0's first tile needs
+// worker 1's second and vice versa.
 func TestRunStaticDetectsDeadlock(t *testing.T) {
 	interior := grid.NewBox([]int{0}, []int{20})
 	mk := func(lo, hi, t0, owner int) *spacetime.Tile {
@@ -88,12 +88,23 @@ func TestRunStaticDetectsDeadlock(t *testing.T) {
 		mk(10, 20, 1, 1),
 		mk(0, 10, 0, 1),
 	}
+	executed := 0
 	_, err := RunStatic(spacetime.AssignIDs(tiles), Config{
 		Workers: 2, Order: 1,
-		Exec: func(int, *spacetime.Tile) int64 { return 0 },
+		Exec: func(int, *spacetime.Tile) int64 { executed++; return 0 },
 	})
 	if err != ErrStaticDeadlock {
 		t.Fatalf("err = %v, want ErrStaticDeadlock", err)
+	}
+	if executed != 0 {
+		t.Fatalf("%d tiles executed before the deadlock was reported", executed)
+	}
+	// The same tiles in a consistent order (both t=0 tiles first) pass.
+	tiles[0], tiles[1] = tiles[1], tiles[0]
+	tiles[2], tiles[3] = tiles[3], tiles[2]
+	spacetime.AssignIDs(tiles)
+	if err := CheckStatic(tiles, BuildDeps(tiles, 1, nil), 2); err != nil {
+		t.Fatalf("consistent order rejected: %v", err)
 	}
 }
 

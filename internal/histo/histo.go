@@ -1,8 +1,8 @@
 // Package histo provides a fixed-size log₂-bucketed duration histogram
 // cheap enough for per-worker hot-path shards. It is a leaf package (no
-// intra-repo dependencies) so both the counter layer (perfcount, which
-// re-exports Hist) and the distributed runtime can use it without
-// import cycles.
+// intra-repo dependencies) so the counter layer (perfcount), the
+// distributed runtime, the public API and the job server can all use it
+// without import cycles.
 package histo
 
 import (

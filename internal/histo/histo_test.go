@@ -1,4 +1,4 @@
-package perfcount
+package histo
 
 import (
 	"testing"

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nustencil/internal/grid"
+	"nustencil/internal/histo"
 	"nustencil/internal/spacetime"
 )
 
@@ -64,7 +65,7 @@ type shard struct {
 	// the steady state.
 	bbox   grid.Box
 	bounds grid.Box
-	lat    Hist
+	lat    histo.Hist
 	_      [64]byte
 }
 

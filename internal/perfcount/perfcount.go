@@ -25,7 +25,11 @@
 // bottleneck term exactly.
 package perfcount
 
-import "time"
+import (
+	"time"
+
+	"nustencil/internal/histo"
+)
 
 // NodeCounters is one NUMA node's share of a run's simulated main-memory
 // traffic, in bytes. LocalBytes and RemoteBytes are requester-side (what
@@ -61,7 +65,7 @@ type WorkerCounters struct {
 	MainBytes int64 `json:"main_bytes"`
 	// Latency is the log₂-bucketed distribution of the worker's tile
 	// execution times.
-	Latency Hist `json:"latency"`
+	Latency histo.Hist `json:"latency"`
 }
 
 // Sample is one periodic scheduler observation.
@@ -161,8 +165,8 @@ func (c *Counters) HottestNode() (node int, bytes int64) {
 
 // Latency returns the run-wide tile-latency histogram: the merge of every
 // worker's.
-func (c *Counters) Latency() Hist {
-	var h Hist
+func (c *Counters) Latency() histo.Hist {
+	var h histo.Hist
 	for i := range c.PerWorker {
 		h.Merge(&c.PerWorker[i].Latency)
 	}

@@ -3,6 +3,8 @@ package perfcount
 import (
 	"fmt"
 	"io"
+
+	"nustencil/internal/histo"
 )
 
 // WritePrometheus writes the counters — and, when a is non-nil, the
@@ -64,7 +66,7 @@ func WritePrometheus(w io.Writer, c *Counters, a *Attribution) error {
 		if cnt == 0 {
 			continue
 		}
-		_, hi := BucketBounds(b)
+		_, hi := histo.BucketBounds(b)
 		p("nustencil_tile_latency_seconds_bucket{le=\"%g\"} %d\n", hi.Seconds(), cum)
 	}
 	p("nustencil_tile_latency_seconds_bucket{le=\"+Inf\"} %d\n", h.N)

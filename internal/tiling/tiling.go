@@ -179,25 +179,12 @@ func Decompose(interior grid.Box, n int) (boxes []grid.Box, counts []int) {
 	return boxes, counts
 }
 
-// DecomposeCounts returns the per-dimension part counts of the Section
-// III-D decomposition for an nd-dimensional grid and n threads, ignoring
-// extents: product equals n, the unit-stride (last) dimension stays uncut
-// when possible, and higher-stride dimensions receive the larger factors.
-// Prefer DecomposeCountsFor when the extents are known — it guarantees no
-// dimension is cut finer than its cell count.
-func DecomposeCounts(nd, n int) []int {
-	ext := make([]int, nd)
-	for k := range ext {
-		ext[k] = n // effectively unbounded: every factor fits
-	}
-	return DecomposeCountsFor(ext, n)
-}
-
-// DecomposeCountsFor is the extent-aware form of DecomposeCounts: the prime
-// factors of n are distributed largest-first over the non-unit-stride
-// dimensions (smallest current count wins, highest stride breaks ties), but
-// a dimension never receives a factor that would push its part count past
-// its extent. A factor no dimension can absorb whole is rebalanced onto the
+// DecomposeCountsFor returns the per-dimension part counts of the Section
+// III-D decomposition of a grid with interior extents ext among n threads.
+// The prime factors of n are distributed largest-first over the
+// non-unit-stride dimensions (smallest current count wins, highest stride
+// breaks ties), but a dimension never receives a factor that would push its
+// part count past its extent. A factor no dimension can absorb whole is rebalanced onto the
 // largest partial cut a non-unit-stride dimension still offers; only when
 // every non-unit-stride dimension is saturated does the unit-stride
 // dimension absorb parts (Section III-D: cutting it hurts bandwidth, but

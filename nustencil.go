@@ -11,7 +11,6 @@ import (
 	"nustencil/internal/affinity"
 	"nustencil/internal/engine"
 	"nustencil/internal/grid"
-	"nustencil/internal/machine"
 	"nustencil/internal/memsim"
 	"nustencil/internal/perfcount"
 	"nustencil/internal/spacetime"
@@ -254,9 +253,11 @@ type plan struct {
 // state-reading or state-advancing method of a Solver whose last run failed
 // mid-plan. Temporal blocking mutates both double buffers while a plan
 // executes, so a run that stops early — a cancelled context, a panicking
-// kernel, an illegal tiling — leaves no consistent timestep to roll back
-// to; the solver instead refuses further use until Import or Load installs
-// a known-good state. Test with errors.Is(err, ErrPoisoned).
+// kernel — leaves no consistent timestep to roll back to; the solver
+// instead refuses further use until Import or Load installs a known-good
+// state. An illegal tiling (engine.ErrCycle, engine.ErrStaticDeadlock) is
+// rejected when its plan is built, before any tile runs, and does not
+// poison. Test with errors.Is(err, ErrPoisoned).
 var ErrPoisoned = errors.New("nustencil: solver state poisoned by a failed run (restore with Import or Load)")
 
 // Solver executes iterative stencil computations on one grid.
@@ -609,7 +610,19 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 		for _, t := range tiles {
 			trav[t.ID] = tiling.TraverseOrDefault(s.scheme, t, cfg.Order)
 		}
-		pl = &plan{tiles: tiles, deps: engine.BuildDeps(tiles, cfg.Order, wrap), trav: trav}
+		// A cycle or an inconsistent static order is a property of the
+		// plan: reject it here, once, before it is cached or any tile
+		// touches the grid, so the solver stays healthy.
+		deps := engine.BuildDeps(tiles, cfg.Order, wrap)
+		if err := engine.CheckDeps(deps); err != nil {
+			return rep, nil, nil, err
+		}
+		if cfg.StaticSchedule {
+			if err := engine.CheckStatic(tiles, deps, cfg.Workers); err != nil {
+				return rep, nil, nil, err
+			}
+		}
+		pl = &plan{tiles: tiles, deps: deps, trav: trav}
 		if s.plans == nil {
 			s.plans = make(map[int]*plan)
 		}
@@ -631,45 +644,11 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 	if s.execWrap != nil {
 		exec = s.execWrap(exec)
 	}
-	var col *perfcount.Collector
-	var cmach *machine.Machine
-	var simCores int
+	var cnt *counting
 	var sampleEvery time.Duration
 	if counted != nil {
-		name := counted.Machine
-		if name == "" {
-			name = XeonX7550
-		}
 		var err error
-		cmach, err = machineFor(name)
-		if err != nil {
-			return rep, nil, nil, err
-		}
-		mod, ok := memsim.Models()[string(cfg.Scheme)]
-		if !ok {
-			return rep, nil, nil, fmt.Errorf("nustencil: no cost model for scheme %q", cfg.Scheme)
-		}
-		simCores = cfg.Workers
-		if simCores > cmach.NumCores() {
-			simCores = cmach.NumCores()
-		}
-		traffic := mod.Traffic(&memsim.Workload{
-			Machine:   cmach,
-			Stencil:   s.st,
-			Dims:      s.g.Dims(),
-			Timesteps: timesteps,
-			Cores:     simCores,
-		})
-		topo := affinity.Fixed{Cores: cfg.Workers, Nodes: cfg.NUMANodes}
-		col, err = perfcount.NewCollector(perfcount.Config{
-			Workers:            cfg.Workers,
-			Nodes:              cfg.NUMANodes,
-			NodeOfWorker:       topo.NodeOfCore,
-			FlopsPerUpdate:     s.st.FlopsPerUpdate(),
-			MainBytesPerUpdate: traffic.MainWords * 8,
-			LLCBytesPerUpdate:  traffic.LLCWords * 8,
-			Grid:               s.g,
-		})
+		cnt, err = s.newCounting(counted, cfg.Scheme, memsim.Workload{Dims: s.g.Dims(), Timesteps: timesteps}, cfg.Workers, s.g)
 		if err != nil {
 			return rep, nil, nil, err
 		}
@@ -678,7 +657,7 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 		exec = func(w int, tile *spacetime.Tile) int64 {
 			t0 := time.Now()
 			n := inner(w, tile)
-			col.RecordTile(w, tile, n, time.Since(t0))
+			cnt.col.RecordTile(w, tile, n, time.Since(t0))
 			return n
 		}
 	}
@@ -694,9 +673,9 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 		}
 	}
 	var onSample func(engine.Sample)
-	if col != nil && sampleEvery > 0 {
+	if cnt != nil && sampleEvery > 0 {
 		onSample = func(sm engine.Sample) {
-			col.RecordSample(perfcount.Sample{
+			cnt.col.RecordSample(perfcount.Sample{
 				Elapsed:     sm.Elapsed,
 				ReadyTiles:  sm.Ready,
 				IdleWorkers: sm.Idle,
@@ -735,12 +714,9 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 	rep.Imbalance = stats.Imbalance()
 	rep.Sched = schedCounters(stats.Sched)
 	var pc *PerfCounters
-	if col != nil {
-		counters := col.Counters()
-		pc = &PerfCounters{
-			c:    counters,
-			attr: perfcount.Attribute(counters, cmach, s.st, simCores, rep.Seconds),
-		}
+	if cnt != nil {
+		counters := cnt.col.Counters()
+		pc = cnt.perf(counters, s.st, rep.Seconds)
 		if traced {
 			// The scheduler samples become Chrome trace counter tracks,
 			// graphed above the worker lanes.

@@ -6,10 +6,16 @@ import (
 	"io"
 	"time"
 
+	"nustencil/internal/affinity"
 	"nustencil/internal/engine"
 	"nustencil/internal/experiments"
+	"nustencil/internal/grid"
+	"nustencil/internal/histo"
+	"nustencil/internal/machine"
+	"nustencil/internal/memsim"
 	"nustencil/internal/perfcount"
 	"nustencil/internal/report"
+	"nustencil/internal/stencil"
 	"nustencil/internal/trace"
 )
 
@@ -117,7 +123,7 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 // DistStats is the distributed-runtime digest of a multi-rank run
 // (Config.Ranks > 1): the chare decomposition, inter-rank traffic
 // totals, and the halo-latency and barrier-wait distributions (log₂
-// histograms, see perfcount.Hist). Report.Dist carries it; it is nil on
+// histograms, see histo.Hist). Report.Dist carries it; it is nil on
 // single-process runs.
 type DistStats struct {
 	// Ranks and Chares describe the decomposition the run executed with.
@@ -136,8 +142,8 @@ type DistStats struct {
 	// halo messages; BarrierWait is each rank's wait at each segment
 	// barrier (own segment done to all ranks done) — the load-imbalance
 	// signal the balancer acts on.
-	HaloLatency perfcount.Hist `json:"halo_latency"`
-	BarrierWait perfcount.Hist `json:"barrier_wait"`
+	HaloLatency histo.Hist `json:"halo_latency"`
+	BarrierWait histo.Hist `json:"barrier_wait"`
 }
 
 // NetworkBytes is the total inter-rank volume: halos plus migrations.
@@ -235,6 +241,57 @@ func (o CounterOptions) samplePeriod() time.Duration {
 		return 0
 	}
 	return o.SamplePeriod
+}
+
+// counting is the simulated-counter state of one counted run: the collector
+// the run feeds, and the machine and simulated core count its attribution
+// is priced against.
+type counting struct {
+	col      *perfcount.Collector
+	mach     *machine.Machine
+	simCores int
+}
+
+// newCounting is the counted-run setup shared by the tiled and distributed
+// paths. It resolves the counter machine (XeonX7550 by default), clamps the
+// simulated cores to workers on that machine, prices w's traffic with
+// scheme's cost model (w's Machine, Stencil and Cores are filled in here),
+// and builds a collector for workers workers. g, when non-nil, enables
+// per-node page-ownership attribution.
+func (s *Solver) newCounting(opts *CounterOptions, scheme SchemeName, w memsim.Workload, workers int, g *grid.Grid) (*counting, error) {
+	name := opts.Machine
+	if name == "" {
+		name = XeonX7550
+	}
+	mach, err := machineFor(name)
+	if err != nil {
+		return nil, err
+	}
+	mod, ok := memsim.Models()[string(scheme)]
+	if !ok {
+		return nil, fmt.Errorf("nustencil: no cost model for scheme %q", scheme)
+	}
+	w.Machine, w.Stencil, w.Cores = mach, s.st, min(workers, mach.NumCores())
+	traffic := mod.Traffic(&w)
+	topo := affinity.Fixed{Cores: workers, Nodes: s.cfg.NUMANodes}
+	col, err := perfcount.NewCollector(perfcount.Config{
+		Workers:            workers,
+		Nodes:              s.cfg.NUMANodes,
+		NodeOfWorker:       topo.NodeOfCore,
+		FlopsPerUpdate:     s.st.FlopsPerUpdate(),
+		MainBytesPerUpdate: traffic.MainWords * 8,
+		LLCBytesPerUpdate:  traffic.LLCWords * 8,
+		Grid:               g,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &counting{col: col, mach: mach, simCores: w.Cores}, nil
+}
+
+// perf attributes the run's folded counters against its measured seconds.
+func (c *counting) perf(counters *perfcount.Counters, st *stencil.Stencil, seconds float64) *PerfCounters {
+	return &PerfCounters{c: counters, attr: perfcount.Attribute(counters, c.mach, st, c.simCores, seconds)}
 }
 
 // PerfCounters is the folded counter set of one counted run, plus its

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"nustencil"
-	"nustencil/internal/perfcount"
+	"nustencil/internal/histo"
 )
 
 // Metrics is the server's counter registry: job lifecycle totals,
@@ -29,8 +29,8 @@ type Metrics struct {
 	queueDepth int64
 	running    int64
 
-	latency   perfcount.Hist // submission → finish, completed + failed
-	queueWait perfcount.Hist // submission → execution start
+	latency   histo.Hist // submission → finish, completed + failed
+	queueWait histo.Hist // submission → execution start
 
 	tenants map[string]*tenantMetrics
 
@@ -55,7 +55,7 @@ type tenantMetrics struct {
 	rejected  int64
 	completed int64
 	failed    int64
-	latency   perfcount.Hist
+	latency   histo.Hist
 }
 
 // NewMetrics returns an empty registry.
@@ -170,8 +170,8 @@ type Snapshot struct {
 	QueueDepth    int64
 	Running       int64
 
-	Latency   perfcount.Hist
-	QueueWait perfcount.Hist
+	Latency   histo.Hist
+	QueueWait histo.Hist
 
 	Tenants map[string]TenantSnapshot
 
@@ -194,7 +194,7 @@ type TenantSnapshot struct {
 	Rejected  int64
 	Completed int64
 	Failed    int64
-	Latency   perfcount.Hist
+	Latency   histo.Hist
 }
 
 // Snapshot copies the registry under the lock.
@@ -334,7 +334,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 // writeHistSummary renders one histogram as a Prometheus summary
 // (quantiles at the log₂ resolution the Hist can promise, plus the
 // _sum/_count pair).
-func writeHistSummary(p func(string, ...any), name, help string, h *perfcount.Hist) {
+func writeHistSummary(p func(string, ...any), name, help string, h *histo.Hist) {
 	p("# HELP %s %s\n", name, help)
 	p("# TYPE %s summary\n", name)
 	for _, q := range []float64{0.5, 0.9, 0.99} {
