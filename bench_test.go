@@ -121,11 +121,11 @@ func BenchmarkScheme(b *testing.B) {
 			b.ResetTimer()
 			var updates int64
 			for i := 0; i < b.N; i++ {
-				rep, err := s.RunSteps(10)
+				out, err := s.Execute(nil, RunSpec{Timesteps: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
-				updates += rep.Updates
+				updates += out.Report.Updates
 			}
 			b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e9, "Gupdates/s")
 		})
@@ -147,11 +147,11 @@ func BenchmarkSchemeBanded(b *testing.B) {
 			b.ResetTimer()
 			var updates int64
 			for i := 0; i < b.N; i++ {
-				rep, err := s.RunSteps(10)
+				out, err := s.Execute(nil, RunSpec{Timesteps: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
-				updates += rep.Updates
+				updates += out.Report.Updates
 			}
 			b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e9, "Gupdates/s")
 		})
@@ -316,11 +316,11 @@ func BenchmarkScheduler(b *testing.B) {
 			b.ResetTimer()
 			var updates int64
 			for i := 0; i < b.N; i++ {
-				rep, err := s.RunSteps(10)
+				out, err := s.Execute(nil, RunSpec{Timesteps: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
-				updates += rep.Updates
+				updates += out.Report.Updates
 			}
 			b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e9, "Gupdates/s")
 		})
@@ -329,8 +329,8 @@ func BenchmarkScheduler(b *testing.B) {
 
 // BenchmarkEngine3D measures the full execute path on the 3D 7-point
 // workload — plan-cache hit, engine dispatch, and the unrolled kernel —
-// with allocations reported, so scripts/bench.sh gates the end-to-end 3D
-// path against its BENCH_engine.json budget alongside the scheduler's.
+// with allocations reported; TestCachedPlanRunAllocs pins the same path's
+// O(1) allocation contract.
 func BenchmarkEngine3D(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
@@ -342,18 +342,18 @@ func BenchmarkEngine3D(b *testing.B) {
 				b.Fatal(err)
 			}
 			s.SetInitial(func(pt []int) float64 { return float64(pt[0] % 5) })
-			if _, err := s.RunSteps(10); err != nil { // warm the plan cache
+			if _, err := s.Execute(nil, RunSpec{Timesteps: 10}); err != nil { // warm the plan cache
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var updates int64
 			for i := 0; i < b.N; i++ {
-				rep, err := s.RunSteps(10)
+				out, err := s.Execute(nil, RunSpec{Timesteps: 10})
 				if err != nil {
 					b.Fatal(err)
 				}
-				updates += rep.Updates
+				updates += out.Report.Updates
 			}
 			b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e9, "Gupdates/s")
 		})
@@ -363,7 +363,7 @@ func BenchmarkEngine3D(b *testing.B) {
 // BenchmarkEngineOverhead measures pure scheduler cost: a 16k-tile nuCORALS
 // tiling executed with a no-op Exec, so all time is queue traffic,
 // dependency resolution and worker wakeups. Deps are prebuilt, as the
-// solver's plan cache does after its first RunSteps call.
+// solver's plan cache does after its first Execute call.
 func BenchmarkEngineOverhead(b *testing.B) {
 	g := grid.New([]int{514, 66, 66})
 	p := &tiling.Problem{
@@ -384,8 +384,9 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	deps := engine.BuildDeps(tiles, 1, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			// Allocations are part of the contract here: scripts/bench.sh
-			// gates on allocs/op against the BENCH_engine.json budget.
+			// Allocations are part of the contract here: the scheduler
+			// allocates O(1) per run, which TestCachedPlanRunAllocs pins
+			// through the solver.
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

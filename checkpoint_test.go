@@ -113,12 +113,12 @@ func TestCheckpointBandedSourceRoundTrip(t *testing.T) {
 		return s
 	}
 	full := mk()
-	if _, err := full.RunSteps(6); err != nil {
+	if _, err := full.Execute(nil, RunSpec{Timesteps: 6}); err != nil {
 		t.Fatal(err)
 	}
 
 	half := mk()
-	if _, err := half.RunSteps(3); err != nil {
+	if _, err := half.Execute(nil, RunSpec{Timesteps: 3}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -138,7 +138,7 @@ func TestCheckpointBandedSourceRoundTrip(t *testing.T) {
 	if resumed.StepsRun() != 3 {
 		t.Fatalf("StepsRun = %d, want 3", resumed.StepsRun())
 	}
-	if _, err := resumed.RunSteps(3); err != nil {
+	if _, err := resumed.Execute(nil, RunSpec{Timesteps: 3}); err != nil {
 		t.Fatal(err)
 	}
 	want, got := full.Export(nil), resumed.Export(nil)

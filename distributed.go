@@ -32,8 +32,9 @@ type distTuning struct {
 // back on success. Unlike the tiled path, a failed distributed run does
 // NOT poison the solver — the runtime only writes the global grid in its
 // final gather, so the pre-run state stays consistent.
-func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool, counted *CounterOptions, rep Report) (Report, *Trace, *PerfCounters, error) {
+func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (Report, *Trace, *PerfCounters, error) {
 	cfg := s.cfg
+	timesteps := spec.Timesteps
 	wpr := cfg.Workers / cfg.Ranks
 	if wpr < 1 {
 		wpr = 1
@@ -50,7 +51,7 @@ func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool,
 	// counter tracks. The runtime buffers records in single-writer shards
 	// and folds them into dtr once at Run exit.
 	var dtr *trace.Trace
-	if traced {
+	if spec.Trace {
 		dtr = trace.New()
 		opts.Trace = dtr
 	}
@@ -62,14 +63,14 @@ func (s *Solver) runDistributed(ctx context.Context, timesteps int, traced bool,
 	}
 
 	var cnt *counting
-	if counted != nil {
+	if spec.Counters {
 		// Each chare runs plain per-step sweeps regardless of cfg.Scheme,
 		// so the naive model prices the traffic honestly; a zero chare
 		// count takes the model's default factor, as the runtime does. The
 		// grid stays nil: per-node page-ownership attribution needs the
 		// tile geometry the chare runtime doesn't produce.
 		var err error
-		cnt, err = s.newCounting(counted, Naive, memsim.Workload{
+		cnt, err = s.newCounting(spec.Machine, Naive, memsim.Workload{
 			Dims:      s.g.Dims(),
 			Timesteps: timesteps,
 			Ranks:     cfg.Ranks,

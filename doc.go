@@ -33,6 +33,14 @@
 //	solver.SetInitial(func(pt []int) float64 { ... })
 //	report, err := solver.Run()
 //
+// Run is the convenience form of Execute, the solver's one execution entry
+// point: a RunSpec selects the timestep count and what to collect (trace,
+// rendered timeline, simulated performance counters), a RunOutput carries
+// the results, and a context bounds the run:
+//
+//	out, err := solver.Execute(ctx, nustencil.RunSpec{Timesteps: 50, Counters: true})
+//	fmt.Println(out.Report.Gupdates(), out.Counters.Bottleneck().Binding)
+//
 // See the examples directory for complete programs and cmd/stencil-figures
 // for the paper-figure regeneration harness.
 package nustencil

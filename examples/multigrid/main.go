@@ -71,7 +71,7 @@ func (lv *level) smooth(sweeps int) {
 	n := lv.n
 	rhs := lv.rhs
 	lv.solver.SetSource(func(pt []int) float64 { return c * rhs[pt[0]*n+pt[1]] })
-	if _, err := lv.solver.RunSteps(sweeps); err != nil {
+	if _, err := lv.solver.Execute(nil, nustencil.RunSpec{Timesteps: sweeps}); err != nil {
 		log.Fatal(err)
 	}
 	lv.u = lv.solver.Export(lv.u)

@@ -6,9 +6,9 @@ import (
 )
 
 // parityConfig is the problem every parity case solves. Workers=1 makes
-// every observable deterministic: tile→worker assignment, per-worker
-// update counts, and the counter byte splits are all fixed, so two runs
-// of the same spec must agree bit for bit.
+// every observable deterministic: tile→worker assignment and per-worker
+// update counts are fixed, so two runs of the same spec must agree bit
+// for bit.
 func parityConfig() Config {
 	return Config{
 		Dims:      []int{22, 22, 22},
@@ -35,179 +35,30 @@ func paritySolver(t *testing.T, cfg Config) *Solver {
 	return s
 }
 
-// variantResult is the deterministic subset of what one legacy variant
-// returned, normalized so it can be compared against Execute's output.
-type variantResult struct {
-	rep      Report
-	trace    *Trace
-	timeline string
-	counters *PerfCounters
-	err      error
-}
-
-// TestLegacyVariantsMatchExecute is the migration parity table: every
-// one of the 12 legacy Run*/RunSteps* variants must produce the same
-// grid state and the same deterministic report/trace/counter content as
-// the equivalent Execute(RunSpec) call on an identically prepared twin
-// solver.
+// TestLegacyVariantsMatchExecute checks Run, the one convenience wrapper
+// left of the legacy Run* method family, against the Execute call it
+// stands for.
 func TestLegacyVariantsMatchExecute(t *testing.T) {
-	const steps = 4
-	ctx := context.Background()
-	copts := CounterOptions{Machine: XeonX7550, SamplePeriod: -1}
-	countedSpec := RunSpec{Timesteps: steps, Counters: true, Machine: XeonX7550, SamplePeriod: -1}
-
-	cases := []struct {
-		name   string
-		legacy func(s *Solver) variantResult
-		spec   RunSpec
-	}{
-		{"Run", func(s *Solver) variantResult {
-			rep, err := s.Run()
-			return variantResult{rep: rep, err: err}
-		}, RunSpec{Timesteps: steps}},
-		{"RunContext", func(s *Solver) variantResult {
-			rep, err := s.RunContext(ctx)
-			return variantResult{rep: rep, err: err}
-		}, RunSpec{Timesteps: steps}},
-		{"RunSteps", func(s *Solver) variantResult {
-			rep, err := s.RunSteps(steps)
-			return variantResult{rep: rep, err: err}
-		}, RunSpec{Timesteps: steps}},
-		{"RunStepsContext", func(s *Solver) variantResult {
-			rep, err := s.RunStepsContext(ctx, steps)
-			return variantResult{rep: rep, err: err}
-		}, RunSpec{Timesteps: steps}},
-		{"RunStepsCounted", func(s *Solver) variantResult {
-			rep, pc, err := s.RunStepsCounted(steps, copts)
-			return variantResult{rep: rep, counters: pc, err: err}
-		}, countedSpec},
-		{"RunStepsCountedContext", func(s *Solver) variantResult {
-			rep, pc, err := s.RunStepsCountedContext(ctx, steps, copts)
-			return variantResult{rep: rep, counters: pc, err: err}
-		}, countedSpec},
-		{"RunStepsTrace", func(s *Solver) variantResult {
-			rep, tr, err := s.RunStepsTrace(steps)
-			return variantResult{rep: rep, trace: tr, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true}},
-		{"RunStepsTraceContext", func(s *Solver) variantResult {
-			rep, tr, err := s.RunStepsTraceContext(ctx, steps)
-			return variantResult{rep: rep, trace: tr, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true}},
-		{"RunStepsTraced", func(s *Solver) variantResult {
-			rep, tl, err := s.RunStepsTraced(steps, 40)
-			return variantResult{rep: rep, timeline: tl, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true, TimelineWidth: 40}},
-		{"RunStepsTracedContext", func(s *Solver) variantResult {
-			rep, tl, err := s.RunStepsTracedContext(ctx, steps, 40)
-			return variantResult{rep: rep, timeline: tl, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true, TimelineWidth: 40}},
-		{"RunStepsTraceCounted", func(s *Solver) variantResult {
-			rep, tr, pc, err := s.RunStepsTraceCounted(steps, copts)
-			return variantResult{rep: rep, trace: tr, counters: pc, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true, Counters: true, Machine: XeonX7550, SamplePeriod: -1}},
-		{"RunStepsTraceCountedContext", func(s *Solver) variantResult {
-			rep, tr, pc, err := s.RunStepsTraceCountedContext(ctx, steps, copts)
-			return variantResult{rep: rep, trace: tr, counters: pc, err: err}
-		}, RunSpec{Timesteps: steps, Trace: true, Counters: true, Machine: XeonX7550, SamplePeriod: -1}},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacySolver := paritySolver(t, parityConfig())
-			execSolver := paritySolver(t, parityConfig())
-
-			got := tc.legacy(legacySolver)
-			if got.err != nil {
-				t.Fatalf("legacy %s: %v", tc.name, got.err)
-			}
-			out, err := execSolver.Execute(ctx, tc.spec)
-			if err != nil {
-				t.Fatalf("Execute: %v", err)
-			}
-
-			// Grid state must be bit-identical.
-			a := legacySolver.Export(nil)
-			b := execSolver.Export(nil)
-			if len(a) != len(b) {
-				t.Fatalf("export lengths differ: %d vs %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("grid state diverges at %d: %v vs %v", i, a[i], b[i])
-				}
-			}
-
-			// Deterministic report content must agree (Seconds is wall clock
-			// and may differ).
-			cmpRep := func(field string, x, y any) {
-				if x != y {
-					t.Errorf("Report.%s: legacy %v vs Execute %v", field, x, y)
-				}
-			}
-			cmpRep("Scheme", got.rep.Scheme, out.Report.Scheme)
-			cmpRep("Workers", got.rep.Workers, out.Report.Workers)
-			cmpRep("Timesteps", got.rep.Timesteps, out.Report.Timesteps)
-			cmpRep("Updates", got.rep.Updates, out.Report.Updates)
-			cmpRep("Tiles", got.rep.Tiles, out.Report.Tiles)
-			cmpRep("FlopsPerUpdate", got.rep.FlopsPerUpdate, out.Report.FlopsPerUpdate)
-			if len(got.rep.UpdatesPerWorker) != len(out.Report.UpdatesPerWorker) {
-				t.Fatalf("UpdatesPerWorker lengths differ")
-			}
-			for i := range got.rep.UpdatesPerWorker {
-				cmpRep("UpdatesPerWorker", got.rep.UpdatesPerWorker[i], out.Report.UpdatesPerWorker[i])
-			}
-
-			// Trace presence and deterministic digest content. (The Traced
-			// variants return only the rendered timeline, so absence of a
-			// legacy *Trace is expected there.)
-			if tc.spec.Trace && out.Trace == nil {
-				t.Fatal("Execute returned no trace for a traced spec")
-			}
-			if got.trace != nil && out.Trace == nil {
-				t.Fatal("legacy returned a trace but Execute did not")
-			}
-			if got.trace != nil && out.Trace != nil {
-				sa, sb := got.trace.Summary(), out.Trace.Summary()
-				cmpRep("Trace.Tiles", sa.Tiles, sb.Tiles)
-				cmpRep("Trace.Updates", sa.Updates, sb.Updates)
-			}
-			if (got.timeline != "") != (tc.spec.TimelineWidth > 0) {
-				t.Errorf("timeline presence: %q for width %d", got.timeline, tc.spec.TimelineWidth)
-			}
-			if tc.spec.TimelineWidth > 0 && out.Timeline == "" {
-				t.Errorf("Execute rendered no timeline for width %d", tc.spec.TimelineWidth)
-			}
-
-			// Counter presence and every model-priced (deterministic) field.
-			if (got.counters != nil) != (out.Counters != nil) {
-				t.Fatalf("counters presence: legacy %v vs Execute %v", got.counters != nil, out.Counters != nil)
-			}
-			if got.counters != nil {
-				pa, pb := got.counters, out.Counters
-				cmpRep("Counters.Updates", pa.Updates(), pb.Updates())
-				cmpRep("Counters.Flops", pa.Flops(), pb.Flops())
-				cmpRep("Counters.LLCBytes", pa.LLCBytes(), pb.LLCBytes())
-				cmpRep("Counters.MainBytes", pa.MainBytes(), pb.MainBytes())
-				cmpRep("Counters.LocalBytes", pa.LocalBytes(), pb.LocalBytes())
-				cmpRep("Counters.RemoteBytes", pa.RemoteBytes(), pb.RemoteBytes())
-				cmpRep("Bottleneck.Binding", pa.Bottleneck().Binding, pb.Bottleneck().Binding)
-			}
-		})
-	}
+	t.Run("Run", func(t *testing.T) { checkRunMatchesExecute(t, parityConfig()) })
 }
 
-// TestLegacyVariantsMatchExecuteStatic re-runs a slice of the parity
-// table under the static executor with multiple workers: owner-assigned
-// tiles make the per-worker split deterministic there too.
+// TestLegacyVariantsMatchExecuteStatic repeats the check under the static
+// executor with two workers: owner-assigned tiles make the per-worker
+// split deterministic there too.
 func TestLegacyVariantsMatchExecuteStatic(t *testing.T) {
 	cfg := parityConfig()
 	cfg.Workers = 2
 	cfg.StaticSchedule = true
+	checkRunMatchesExecute(t, cfg)
+}
 
-	legacySolver := paritySolver(t, cfg)
-	execSolver := paritySolver(t, cfg)
-
-	rep, err := legacySolver.RunSteps(cfg.Timesteps)
+// checkRunMatchesExecute runs Run and Execute(nil, RunSpec{Timesteps:
+// cfg.Timesteps}) on twin solvers and requires bit-identical grid states
+// and the same deterministic report fields (Seconds is wall clock).
+func checkRunMatchesExecute(t *testing.T, cfg Config) {
+	t.Helper()
+	runSolver, execSolver := paritySolver(t, cfg), paritySolver(t, cfg)
+	rep, err := runSolver.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,25 +66,67 @@ func TestLegacyVariantsMatchExecuteStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Updates != out.Report.Updates || rep.Tiles != out.Report.Tiles {
-		t.Fatalf("static parity: legacy %d updates/%d tiles vs Execute %d/%d",
-			rep.Updates, rep.Tiles, out.Report.Updates, out.Report.Tiles)
+	got := out.Report
+	if rep.Scheme != got.Scheme || rep.Workers != got.Workers || rep.Timesteps != got.Timesteps ||
+		rep.Updates != got.Updates || rep.Tiles != got.Tiles || rep.FlopsPerUpdate != got.FlopsPerUpdate {
+		t.Errorf("report: Run %+v vs Execute %+v", rep, got)
+	}
+	if len(rep.UpdatesPerWorker) != len(got.UpdatesPerWorker) {
+		t.Fatalf("UpdatesPerWorker: Run %v vs Execute %v", rep.UpdatesPerWorker, got.UpdatesPerWorker)
 	}
 	for i := range rep.UpdatesPerWorker {
-		if rep.UpdatesPerWorker[i] != out.Report.UpdatesPerWorker[i] {
-			t.Fatalf("static per-worker split diverges at %d", i)
+		if rep.UpdatesPerWorker[i] != got.UpdatesPerWorker[i] {
+			t.Fatalf("per-worker split diverges at %d: Run %v vs Execute %v", i, rep.UpdatesPerWorker, got.UpdatesPerWorker)
 		}
 	}
-	a, b := legacySolver.Export(nil), execSolver.Export(nil)
+	a, b := runSolver.Export(nil), execSolver.Export(nil)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("static grid state diverges at %d", i)
+			t.Fatalf("grid state diverges at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
 
-// TestExecuteZeroSteps pins the explicit-zero contract the shims depend
-// on: a zero-timestep spec is a no-op, not "use the configured default".
+// TestExecuteSpecOutputs pins which outputs a spec yields: Trace, Timeline
+// and Counters are present exactly when the spec asks for them (a
+// timeline width implies a trace), and each agrees with the report.
+func TestExecuteSpecOutputs(t *testing.T) {
+	const steps = 4
+	for _, spec := range []RunSpec{
+		{Timesteps: steps},
+		{Timesteps: steps, Trace: true},
+		{Timesteps: steps, TimelineWidth: 40},
+		{Timesteps: steps, Counters: true, Machine: XeonX7550, SamplePeriod: -1},
+		{Timesteps: steps, Trace: true, TimelineWidth: 40, Counters: true, SamplePeriod: -1},
+	} {
+		out, err := paritySolver(t, parityConfig()).Execute(nil, spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		traced := spec.Trace || spec.TimelineWidth > 0
+		if (out.Trace != nil) != traced {
+			t.Errorf("%+v: trace present = %v", spec, out.Trace != nil)
+		}
+		if (out.Timeline != "") != (spec.TimelineWidth > 0) {
+			t.Errorf("%+v: timeline = %q", spec, out.Timeline)
+		}
+		if (out.Counters != nil) != spec.Counters {
+			t.Errorf("%+v: counters present = %v", spec, out.Counters != nil)
+		}
+		if out.Trace != nil {
+			if sum := out.Trace.Summary(); sum.Tiles != out.Report.Tiles || sum.Updates != out.Report.Updates {
+				t.Errorf("%+v: trace %d tiles/%d updates vs report %d/%d",
+					spec, sum.Tiles, sum.Updates, out.Report.Tiles, out.Report.Updates)
+			}
+		}
+		if out.Counters != nil && out.Counters.Updates() != out.Report.Updates {
+			t.Errorf("%+v: counters %d updates vs report %d", spec, out.Counters.Updates(), out.Report.Updates)
+		}
+	}
+}
+
+// TestExecuteZeroSteps pins the explicit-zero contract: a zero-timestep
+// spec is a no-op, not "use the configured default".
 func TestExecuteZeroSteps(t *testing.T) {
 	s := paritySolver(t, parityConfig())
 	out, err := s.Execute(nil, RunSpec{})
@@ -248,9 +141,9 @@ func TestExecuteZeroSteps(t *testing.T) {
 	}
 }
 
-// TestExecutePoisonsOnCancel pins the failure contract through the new
-// entrypoint: an expired context fails the run, poisons the solver, and
-// later Execute calls refuse with ErrPoisoned.
+// TestExecutePoisonsOnCancel pins the failure contract: an expired
+// context fails the run, poisons the solver, and later Execute calls
+// refuse with ErrPoisoned.
 func TestExecutePoisonsOnCancel(t *testing.T) {
 	s := paritySolver(t, parityConfig())
 	ctx, cancel := context.WithCancel(context.Background())

@@ -112,14 +112,6 @@ func New(topo Topology, levels []LevelConfig, pageSize int) (*System, error) {
 // agree for meaningful accounting).
 func (s *System) LineBytes() int { return s.levels[0].LineBytes }
 
-// TouchPage records first-touch ownership of the page containing addr.
-func (s *System) TouchPage(addr int64, node int) {
-	p := addr / s.pageSize
-	if _, ok := s.owner[p]; !ok {
-		s.owner[p] = int32(node)
-	}
-}
-
 // TouchRange first-touches every page in [addr, addr+n).
 func (s *System) TouchRange(addr, n int64, node int) {
 	for p := addr / s.pageSize; p <= (addr+n-1)/s.pageSize; p++ {

@@ -38,7 +38,7 @@ func bigTiling(tb testing.TB) []*spacetime.Tile {
 }
 
 // BenchmarkBuildDeps measures the tile dependency derivation on a large
-// nuCORALS tiling — the cost RunSteps pays on the first call for a given
+// nuCORALS tiling — the cost Execute pays on the first call for a given
 // timestep count (later calls reuse the solver's cached plan).
 func BenchmarkBuildDeps(b *testing.B) {
 	tiles := bigTiling(b)

@@ -184,11 +184,6 @@ func (g *Grid) ForEachRow(b Box, fn func(offset, length int, pt []int)) {
 	}
 }
 
-// CopyBuffer copies buffer src into buffer dst.
-func (g *Grid) CopyBuffer(dst, src int) {
-	copy(g.buf[dst&1], g.buf[src&1])
-}
-
 // Clone returns a deep copy of the grid, including page ownership.
 func (g *Grid) Clone() *Grid {
 	c := NewWithPageSize(g.dims, g.pageSize)

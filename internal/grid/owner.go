@@ -8,9 +8,6 @@ package grid
 // PageSize returns the ownership page size in elements.
 func (g *Grid) PageSize() int { return g.pageSize }
 
-// NumPages returns the number of ownership pages per buffer.
-func (g *Grid) NumPages() int { return len(g.pageOwner) }
-
 // OwnerOfIndex returns the NUMA node owning the page of flat offset idx,
 // or -1 if the page has not been touched.
 func (g *Grid) OwnerOfIndex(idx int) int { return int(g.pageOwner[idx/g.pageSize]) }
@@ -40,13 +37,6 @@ func (g *Grid) TouchAll(node int) {
 		if o < 0 {
 			g.pageOwner[i] = int32(node)
 		}
-	}
-}
-
-// ResetOwnership clears all page owners back to unknown.
-func (g *Grid) ResetOwnership() {
-	for i := range g.pageOwner {
-		g.pageOwner[i] = -1
 	}
 }
 

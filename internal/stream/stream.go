@@ -157,9 +157,12 @@ func PeakDP(workers int, duration time.Duration) float64 {
 	// Calibrate iterations to the requested duration on one worker.
 	const flopsPerIter = 16 // 8 independent accumulators × (mul+add)
 	iters := int64(1 << 20)
+	// Each worker stores its loop's result in its own slot, so the compiler
+	// keeps the loops and the workers share no memory.
+	sums := make([]float64, workers)
 	for {
 		t := time.Now()
-		fmaLoop(iters)
+		sums[0] = fmaLoop(iters)
 		if d := time.Since(t); d >= duration/4 {
 			iters = int64(float64(iters) * duration.Seconds() / d.Seconds())
 			if iters < 1 {
@@ -175,7 +178,7 @@ func PeakDP(workers int, duration time.Duration) float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fmaLoop(iters)
+			sums[w] = fmaLoop(iters)
 		}()
 	}
 	wg.Wait()
@@ -183,10 +186,9 @@ func PeakDP(workers int, duration time.Duration) float64 {
 	return float64(iters) * flopsPerIter * float64(workers) / sec / 1e9
 }
 
-// sink prevents the compiler from discarding the FMA loop.
-var sink float64
-
-func fmaLoop(iters int64) {
+// fmaLoop runs iters rounds of eight independent multiply-adds and returns
+// their sum.
+func fmaLoop(iters int64) float64 {
 	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
 	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
 	const m, c = 0.999999999, 1e-9
@@ -200,5 +202,5 @@ func fmaLoop(iters int64) {
 		a6 = a6*m + c
 		a7 = a7*m + c
 	}
-	sink = a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+	return a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
 }

@@ -56,4 +56,9 @@ func TestPeakDP(t *testing.T) {
 	if g2 := PeakDP(0, 0); g2 <= 0 {
 		t.Errorf("defaulted PeakDP = %v", g2)
 	}
+	// Several workers at once: under -race this checks that they share no
+	// state.
+	if g4 := PeakDP(4, 2*time.Millisecond); g4 <= 0 {
+		t.Errorf("4-worker PeakDP = %v", g4)
+	}
 }

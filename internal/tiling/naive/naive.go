@@ -7,7 +7,6 @@
 package naive
 
 import (
-	"nustencil/internal/grid"
 	"nustencil/internal/spacetime"
 	"nustencil/internal/tiling"
 )
@@ -53,9 +52,3 @@ func (*Scheme) Tiles(p *tiling.Problem) ([]*spacetime.Tile, error) {
 }
 
 var _ tiling.Scheme = (*Scheme)(nil)
-
-// Subdomains exposes the decomposition for tests and the cost model.
-func Subdomains(p *tiling.Problem) []grid.Box {
-	subs, _ := tiling.Decompose(p.Interior(), p.Workers)
-	return subs
-}

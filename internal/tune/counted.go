@@ -30,19 +30,21 @@ func MeasureCountedFor(scheme string, w Workload, machine string) (MeasureCounte
 			return CountedSample{}, err
 		}
 		solver.SetInitial(func(pt []int) float64 { return float64(pt[0]&7) * 0.25 })
-		rep, pc, err := solver.RunStepsCountedContext(ctx, w.Timesteps, nustencil.CounterOptions{
+		out, err := solver.Execute(ctx, nustencil.RunSpec{
+			Timesteps:    w.Timesteps,
+			Counters:     true,
 			Machine:      nustencil.MachineName(machine),
 			SamplePeriod: -1, // rates and attribution only; no sampler thread
 		})
 		if err != nil {
 			return CountedSample{}, err
 		}
-		if rep.Seconds <= 0 {
+		if out.Report.Seconds <= 0 {
 			return CountedSample{}, fmt.Errorf("tune: degenerate timing")
 		}
-		b := pc.Bottleneck()
+		b := out.Counters.Bottleneck()
 		return CountedSample{
-			Gupdates:   rep.Gupdates(),
+			Gupdates:   out.Report.Gupdates(),
 			Bottleneck: b.Bottleneck,
 			Margin:     b.Margin,
 		}, nil

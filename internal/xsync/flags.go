@@ -1,17 +1,17 @@
+// Package xsync provides the synchronization substrate of the paper's
+// schemes: spin-wait flag tables (the sync flags of Section III-B, on which
+// the static executor waits for the tiles its next tile depends on) and
+// the Parker wakeup primitive of the dependency-driven scheduler.
 package xsync
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // FlagTable is a set of one-shot completion flags indexed by a dense id —
 // the "structure of synchronization flags" attached to each thread in
 // Section III-B of the paper, where each flag represents the index of a base
 // parallelogram within the root parallelogram space. Setting is a release
-// store; waiting is an acquire spin with cooperative yielding so the flags
-// are safe (and race-detector clean) for publishing the data computed before
-// Set.
+// store and IsSet an acquire load, so a waiter that spins on IsSet sees the
+// data computed before Set (and the race detector agrees).
 type FlagTable struct {
 	flags []atomic.Uint32
 }
@@ -21,30 +21,8 @@ func NewFlagTable(n int) *FlagTable {
 	return &FlagTable{flags: make([]atomic.Uint32, n)}
 }
 
-// Len returns the number of flags.
-func (f *FlagTable) Len() int { return len(f.flags) }
-
 // Set marks flag i. Setting an already-set flag is a no-op.
 func (f *FlagTable) Set(i int) { f.flags[i].Store(1) }
 
 // IsSet reports whether flag i has been set.
 func (f *FlagTable) IsSet(i int) bool { return f.flags[i].Load() != 0 }
-
-// Wait spin-waits until flag i is set. After a short busy phase it yields
-// the processor between probes, which keeps single-core test machines live
-// while preserving the spin-wait structure of the original scheme.
-func (f *FlagTable) Wait(i int) {
-	for spins := 0; f.flags[i].Load() == 0; spins++ {
-		if spins > 64 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Reset clears every flag for reuse in the next layer of space-time slices.
-// Reset must not race with Set/Wait; callers order it after a Barrier.
-func (f *FlagTable) Reset() {
-	for i := range f.flags {
-		f.flags[i].Store(0)
-	}
-}

@@ -1,86 +1,17 @@
 package xsync
 
 import (
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"time"
 )
 
-func TestBarrierReleasesAllParties(t *testing.T) {
-	const n = 8
-	b := NewBarrier(n)
-	var phase atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan string, n*4)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := int64(0); round < 4; round++ {
-				if p := phase.Load(); p != round {
-					errs <- "phase skew before barrier"
-				}
-				if b.Wait() { // serial party advances the phase
-					phase.Store(round + 1)
-					b.Wait()
-				} else {
-					b.Wait()
-				}
-			}
-		}()
+// spinUntilSet waits for flag i the way the static executor does: an
+// IsSet spin that yields the processor between probes.
+func spinUntilSet(f *FlagTable, i int) {
+	for !f.IsSet(i) {
+		runtime.Gosched()
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-	if phase.Load() != 4 {
-		t.Errorf("phase = %d, want 4", phase.Load())
-	}
-}
-
-func TestBarrierExactlyOneSerialParty(t *testing.T) {
-	const n = 5
-	b := NewBarrier(n)
-	var serial atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if b.Wait() {
-				serial.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if serial.Load() != 1 {
-		t.Errorf("serial parties = %d, want 1", serial.Load())
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	b := NewBarrier(1)
-	done := make(chan bool, 1)
-	go func() { done <- b.Wait() }()
-	select {
-	case got := <-done:
-		if !got {
-			t.Error("single party should be serial")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("single-party barrier blocked")
-	}
-}
-
-func TestBarrierPanicsOnZeroParties(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBarrier(0) should panic")
-		}
-	}()
-	NewBarrier(0)
 }
 
 func TestFlagTableSetWait(t *testing.T) {
@@ -90,51 +21,44 @@ func TestFlagTableSetWait(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		f.Wait(2)
+		spinUntilSet(f, 2)
 		close(done)
 	}()
 	time.Sleep(5 * time.Millisecond)
 	select {
 	case <-done:
-		t.Fatal("Wait returned before Set")
+		t.Fatal("waiter returned before Set")
 	default:
 	}
 	f.Set(2)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
-		t.Fatal("Wait did not observe Set")
+		t.Fatal("waiter did not observe Set")
+	}
+	for _, i := range []int{0, 1, 3} {
+		if f.IsSet(i) {
+			t.Errorf("Set(2) also set flag %d", i)
+		}
 	}
 }
 
 func TestFlagTablePublishesData(t *testing.T) {
-	// Set must act as a release so data written before it is visible after
-	// Wait. Run many rounds to give the race detector a chance to object.
-	f := NewFlagTable(1)
+	// Set must act as a release and IsSet as an acquire, so data written
+	// before Set is visible to a waiter that saw the flag. Run many rounds
+	// to give the race detector a chance to object.
 	var payload int
 	for round := 0; round < 100; round++ {
-		f.Reset()
+		f := NewFlagTable(1)
 		done := make(chan int)
 		go func() {
-			f.Wait(0)
+			spinUntilSet(f, 0)
 			done <- payload
 		}()
 		payload = round
 		f.Set(0)
 		if got := <-done; got != round {
 			t.Fatalf("round %d: observed %d", round, got)
-		}
-	}
-}
-
-func TestFlagTableReset(t *testing.T) {
-	f := NewFlagTable(3)
-	f.Set(0)
-	f.Set(2)
-	f.Reset()
-	for i := 0; i < 3; i++ {
-		if f.IsSet(i) {
-			t.Errorf("flag %d still set after Reset", i)
 		}
 	}
 }

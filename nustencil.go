@@ -236,7 +236,7 @@ func (r Report) GFLOPS() float64 { return r.Gupdates() * float64(r.FlopsPerUpdat
 // plan is a cached tiling: the tiles of one (scheme, timesteps) instance
 // with IDs assigned, the dependency graph derived, and every tile's in-tile
 // traversal materialized. Everything in it is a pure function of the solver
-// configuration and the timestep count, so repeated RunSteps calls
+// configuration and the timestep count, so repeated Execute calls
 // (iterative solvers, benchmarks) skip the tiler, the O(tiles·deps) graph
 // derivation, and the per-tile traversal construction — the execute path
 // only indexes into the plan.
@@ -437,135 +437,27 @@ func (s *Solver) NumPoints() int { return s.st.NumPoints() }
 func (s *Solver) StencilDescription() string { return s.st.String() }
 
 // Run advances the grid by Config.Timesteps iterations using the configured
-// scheme and returns the execution report. Run may be called repeatedly;
-// each call continues from the current state. If a run fails mid-plan —
-// cancellation, a panicking kernel — the solver is poisoned (see
-// ErrPoisoned) until Import or Load restores a consistent state.
-//
-// Deprecated: use Execute(nil, RunSpec{Timesteps: cfg.Timesteps}). Run
-// remains as a convenience shim and will not be removed.
+// scheme and returns the execution report: the convenience form of
+// Execute(nil, RunSpec{Timesteps: cfg.Timesteps}). Run may be called
+// repeatedly; each call continues from the current state. If a run fails
+// mid-plan — a panicking kernel — the solver is poisoned (see ErrPoisoned)
+// until Import or Load restores a consistent state.
 func (s *Solver) Run() (Report, error) {
 	out, err := s.Execute(nil, RunSpec{Timesteps: s.cfg.Timesteps})
 	return out.Report, err
 }
 
-// RunContext is Run bounded by ctx: when ctx is cancelled or its deadline
-// passes, the engine stops within roughly one tile execution and the error
-// is ctx.Err(). The interrupted solver is poisoned (see ErrPoisoned).
-//
-// Deprecated: use Execute(ctx, RunSpec{Timesteps: cfg.Timesteps}).
-func (s *Solver) RunContext(ctx context.Context) (Report, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: s.cfg.Timesteps})
-	return out.Report, err
-}
-
-// RunSteps advances the grid by an explicit number of timesteps.
-//
-// Deprecated: use Execute(nil, RunSpec{Timesteps: timesteps}).
-func (s *Solver) RunSteps(timesteps int) (Report, error) {
-	out, err := s.Execute(nil, RunSpec{Timesteps: timesteps})
-	return out.Report, err
-}
-
-// RunStepsContext is RunSteps bounded by ctx (see RunContext).
-//
-// Deprecated: use Execute(ctx, RunSpec{Timesteps: timesteps}).
-func (s *Solver) RunStepsContext(ctx context.Context, timesteps int) (Report, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: timesteps})
-	return out.Report, err
-}
-
-// RunStepsCounted is RunSteps with simulated performance counters: the run
-// is instrumented tile by tile — traffic priced with the scheme's cost
-// model on the machine opts selects, attributed to NUMA nodes through the
-// grid's page ownership — and the folded counters arrive with a bottleneck
-// attribution naming the analytic bound that binds the run. Collection
-// adds one timestamp pair per tile and no shared atomics.
-//
-// Deprecated: use Execute with RunSpec{Counters: true, Machine: ...,
-// SamplePeriod: ...}.
-func (s *Solver) RunStepsCounted(timesteps int, opts CounterOptions) (Report, *PerfCounters, error) {
-	out, err := s.Execute(nil, RunSpec{Timesteps: timesteps, Counters: true, Machine: opts.Machine, SamplePeriod: opts.SamplePeriod})
-	return out.Report, out.Counters, err
-}
-
-// RunStepsCountedContext is RunStepsCounted bounded by ctx (see
-// RunContext).
-//
-// Deprecated: use Execute with RunSpec{Counters: true, Machine: ...,
-// SamplePeriod: ...}.
-func (s *Solver) RunStepsCountedContext(ctx context.Context, timesteps int, opts CounterOptions) (Report, *PerfCounters, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: timesteps, Counters: true, Machine: opts.Machine, SamplePeriod: opts.SamplePeriod})
-	return out.Report, out.Counters, err
-}
-
-// RunStepsTraceCounted combines RunStepsTrace and RunStepsCounted: the
-// returned trace additionally carries the scheduler samples as Chrome
-// trace counter tracks ("ph":"C" events — ready tiles and idle workers
-// render as graphs above the worker lanes in Perfetto).
-//
-// Deprecated: use Execute with RunSpec{Trace: true, Counters: true, ...}.
-func (s *Solver) RunStepsTraceCounted(timesteps int, opts CounterOptions) (Report, *Trace, *PerfCounters, error) {
-	out, err := s.Execute(nil, RunSpec{Timesteps: timesteps, Trace: true, Counters: true, Machine: opts.Machine, SamplePeriod: opts.SamplePeriod})
-	return out.Report, out.Trace, out.Counters, err
-}
-
-// RunStepsTraceCountedContext is RunStepsTraceCounted bounded by ctx (see
-// RunContext).
-//
-// Deprecated: use Execute with RunSpec{Trace: true, Counters: true, ...}.
-func (s *Solver) RunStepsTraceCountedContext(ctx context.Context, timesteps int, opts CounterOptions) (Report, *Trace, *PerfCounters, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: timesteps, Trace: true, Counters: true, Machine: opts.Machine, SamplePeriod: opts.SamplePeriod})
-	return out.Report, out.Trace, out.Counters, err
-}
-
-// RunStepsTraced is RunSteps plus a rendered execution timeline (a text
-// Gantt chart of tile executions per worker, width columns wide) and
-// per-worker utilization — the observability view of how a scheme
-// schedules.
-//
-// Deprecated: use Execute with RunSpec{TimelineWidth: width}.
-func (s *Solver) RunStepsTraced(timesteps, width int) (Report, string, error) {
-	out, err := s.Execute(nil, RunSpec{Timesteps: timesteps, Trace: true, TimelineWidth: width})
-	return out.Report, out.Timeline, err
-}
-
-// RunStepsTracedContext is RunStepsTraced bounded by ctx (see RunContext).
-//
-// Deprecated: use Execute with RunSpec{TimelineWidth: width}.
-func (s *Solver) RunStepsTracedContext(ctx context.Context, timesteps, width int) (Report, string, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: timesteps, Trace: true, TimelineWidth: width})
-	return out.Report, out.Timeline, err
-}
-
-// RunStepsTrace is RunSteps plus the recorded execution trace itself, for
-// machine-readable export: Trace.WriteChromeTrace emits Chrome trace-event
-// JSON (Perfetto, chrome://tracing), Trace.Summary the per-worker busy/idle
-// digest, Trace.Timeline the text Gantt chart.
-//
-// Deprecated: use Execute with RunSpec{Trace: true}.
-func (s *Solver) RunStepsTrace(timesteps int) (Report, *Trace, error) {
-	out, err := s.Execute(nil, RunSpec{Timesteps: timesteps, Trace: true})
-	return out.Report, out.Trace, err
-}
-
-// RunStepsTraceContext is RunStepsTrace bounded by ctx (see RunContext).
-//
-// Deprecated: use Execute with RunSpec{Trace: true}.
-func (s *Solver) RunStepsTraceContext(ctx context.Context, timesteps int) (Report, *Trace, error) {
-	out, err := s.Execute(ctx, RunSpec{Timesteps: timesteps, Trace: true})
-	return out.Report, out.Trace, err
-}
-
-// runSteps executes one plan. A nil ctx means no cancellation (and costs
-// nothing on the hot path). A non-nil counted instruments the run with
-// simulated performance counters. Every error return carries a report
-// holding only the identity fields (Scheme, Workers, Timesteps,
-// FlopsPerUpdate) and nil trace/counters: timing and update counts from a
-// failed run would be meaningless — a caller computing Gupdates on the
-// error path must see zero, not a rate.
-func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, counted *CounterOptions) (Report, *Trace, *PerfCounters, error) {
+// runSteps executes one plan of spec.Timesteps steps, recording a trace
+// when spec.Trace is set and simulated performance counters when
+// spec.Counters is. A nil ctx means no cancellation (and costs nothing on
+// the hot path). Every error return carries a report holding only the
+// identity fields (Scheme, Workers, Timesteps, FlopsPerUpdate) and nil
+// trace/counters: timing and update counts from a failed run would be
+// meaningless — a caller computing Gupdates on the error path must see
+// zero, not a rate.
+func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *PerfCounters, error) {
 	cfg := s.cfg
+	timesteps, traced := spec.Timesteps, spec.Trace
 	rep := Report{
 		Scheme:         cfg.Scheme,
 		Workers:        cfg.Workers,
@@ -583,7 +475,7 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 		return rep, nil, nil, nil
 	}
 	if cfg.Ranks > 1 {
-		return s.runDistributed(ctx, timesteps, traced, counted, rep)
+		return s.runDistributed(ctx, spec, rep)
 	}
 	var wrap []int
 	if cfg.Periodic {
@@ -646,13 +538,13 @@ func (s *Solver) runSteps(ctx context.Context, timesteps int, traced bool, count
 	}
 	var cnt *counting
 	var sampleEvery time.Duration
-	if counted != nil {
+	if spec.Counters {
 		var err error
-		cnt, err = s.newCounting(counted, cfg.Scheme, memsim.Workload{Dims: s.g.Dims(), Timesteps: timesteps}, cfg.Workers, s.g)
+		cnt, err = s.newCounting(spec.Machine, cfg.Scheme, memsim.Workload{Dims: s.g.Dims(), Timesteps: timesteps}, cfg.Workers, s.g)
 		if err != nil {
 			return rep, nil, nil, err
 		}
-		sampleEvery = counted.samplePeriod()
+		sampleEvery = spec.samplePeriod()
 		inner := exec
 		exec = func(w int, tile *spacetime.Tile) int64 {
 			t0 := time.Now()

@@ -89,7 +89,7 @@ func TestSolverRunStepsAccumulates(t *testing.T) {
 	}
 	split := mk()
 	for i := 0; i < 3; i++ {
-		if _, err := split.RunSteps(2); err != nil {
+		if _, err := split.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func schedCounters(sc []engine.SchedCounters) []SchedulerCounters {
 }
 
 // reportJSON is the stable machine-readable form of a Report: base fields
-// in snake_case plus the derived rates, so scripts/bench.sh and CI consume
+// in snake_case plus the derived rates, so CI and scripts consume
 // one format instead of scraping text output.
 type reportJSON struct {
 	Scheme           SchemeName          `json:"scheme"`
@@ -219,30 +219,6 @@ type WorkerTraceStat struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// CounterOptions configures simulated performance counters for a counted
-// run (RunStepsCounted, RunStepsTraceCounted).
-type CounterOptions struct {
-	// Machine selects the modeled machine whose cost model prices the
-	// counters and whose bandwidth hierarchy the attribution is computed
-	// against (default XeonX7550).
-	Machine MachineName
-	// SamplePeriod is the scheduler sampling period for ready-queue depth
-	// and idle-worker counts. Zero means the default 1 ms; negative
-	// disables sampling. The sampler reads only atomics the scheduler
-	// already maintains — the per-tile hot path is unaffected either way.
-	SamplePeriod time.Duration
-}
-
-func (o CounterOptions) samplePeriod() time.Duration {
-	if o.SamplePeriod == 0 {
-		return time.Millisecond
-	}
-	if o.SamplePeriod < 0 {
-		return 0
-	}
-	return o.SamplePeriod
-}
-
 // counting is the simulated-counter state of one counted run: the collector
 // the run feeds, and the machine and simulated core count its attribution
 // is priced against.
@@ -253,13 +229,12 @@ type counting struct {
 }
 
 // newCounting is the counted-run setup shared by the tiled and distributed
-// paths. It resolves the counter machine (XeonX7550 by default), clamps the
-// simulated cores to workers on that machine, prices w's traffic with
-// scheme's cost model (w's Machine, Stencil and Cores are filled in here),
-// and builds a collector for workers workers. g, when non-nil, enables
-// per-node page-ownership attribution.
-func (s *Solver) newCounting(opts *CounterOptions, scheme SchemeName, w memsim.Workload, workers int, g *grid.Grid) (*counting, error) {
-	name := opts.Machine
+// paths. It resolves the counter machine name (XeonX7550 when empty),
+// clamps the simulated cores to workers on that machine, prices w's
+// traffic with scheme's cost model (w's Machine, Stencil and Cores are
+// filled in here), and builds a collector for workers workers. g, when
+// non-nil, enables per-node page-ownership attribution.
+func (s *Solver) newCounting(name MachineName, scheme SchemeName, w memsim.Workload, workers int, g *grid.Grid) (*counting, error) {
 	if name == "" {
 		name = XeonX7550
 	}

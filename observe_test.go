@@ -19,10 +19,11 @@ func TestRunStepsTraceExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, tr, err := s.RunStepsTrace(6)
+	out, err := s.Execute(nil, RunSpec{Timesteps: 6, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, tr := out.Report, out.Trace
 	if tr == nil {
 		t.Fatal("traced run returned nil trace")
 	}
@@ -87,12 +88,12 @@ func TestStaticScheduleNoSchedCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.RunSteps(4)
+	out, err := s.Execute(nil, RunSpec{Timesteps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sched != nil {
-		t.Errorf("static run reported scheduler counters: %+v", rep.Sched)
+	if out.Report.Sched != nil {
+		t.Errorf("static run reported scheduler counters: %+v", out.Report.Sched)
 	}
 }
 
@@ -175,10 +176,11 @@ func TestRunStepsCounted(t *testing.T) {
 	for name, static := range map[string]bool{"dynamic": false, "static": true} {
 		t.Run(name, func(t *testing.T) {
 			s := countedSolver(t, static)
-			rep, pc, err := s.RunStepsCounted(6, CounterOptions{SamplePeriod: 100 * time.Microsecond})
+			out, err := s.Execute(nil, RunSpec{Timesteps: 6, Counters: true, SamplePeriod: 100 * time.Microsecond})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep, pc := out.Report, out.Counters
 			if pc == nil {
 				t.Fatal("counted run returned nil counters")
 			}
@@ -275,10 +277,11 @@ func TestRunStepsCounted(t *testing.T) {
 // scheduler sample becomes two "ph":"C" counter events in the Chrome export.
 func TestRunStepsTraceCountedChromeCounters(t *testing.T) {
 	s := countedSolver(t, false)
-	rep, tr, pc, err := s.RunStepsTraceCounted(6, CounterOptions{SamplePeriod: 50 * time.Microsecond})
+	out, err := s.Execute(nil, RunSpec{Timesteps: 6, Trace: true, Counters: true, SamplePeriod: 50 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, tr, pc := out.Report, out.Trace, out.Counters
 	if tr == nil || pc == nil {
 		t.Fatalf("trace %v counters %v", tr, pc)
 	}
@@ -328,14 +331,14 @@ func TestRunStepsTraceCountedChromeCounters(t *testing.T) {
 // TestRunStepsCountedUnknownMachine pins the error path.
 func TestRunStepsCountedUnknownMachine(t *testing.T) {
 	s := countedSolver(t, false)
-	if _, _, err := s.RunStepsCounted(2, CounterOptions{Machine: "bogus"}); err == nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 2, Counters: true, Machine: "bogus"}); err == nil {
 		t.Error("unknown machine must error")
 	}
 	// The failed validation must not poison the solver.
 	if err := s.Err(); err != nil {
 		t.Errorf("solver poisoned by rejected options: %v", err)
 	}
-	if _, _, err := s.RunStepsCounted(2, CounterOptions{Machine: Opteron8222}); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 2, Counters: true, Machine: Opteron8222}); err != nil {
 		t.Errorf("opteron counted run failed: %v", err)
 	}
 }

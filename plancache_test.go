@@ -112,7 +112,7 @@ func TestStructuralPlanErrorRejected(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReusesTiling: a second RunSteps with the same timestep count
+// TestPlanCacheReusesTiling: a second Execute with the same timestep count
 // must reuse the cached plan (tiler not re-invoked), while a different
 // timestep count must rebuild.
 func TestPlanCacheReusesTiling(t *testing.T) {
@@ -124,29 +124,29 @@ func TestPlanCacheReusesTiling(t *testing.T) {
 	cs := &countingScheme{Scheme: s.scheme}
 	s.scheme = cs
 
-	if _, err := s.RunSteps(4); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.tilesCalls != 1 {
 		t.Fatalf("first run invoked the tiler %d times, want 1", cs.tilesCalls)
 	}
-	if _, err := s.RunSteps(4); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.tilesCalls != 1 {
 		t.Fatalf("second identical run invoked the tiler again (%d calls): plan cache miss", cs.tilesCalls)
 	}
-	if _, err := s.RunSteps(2); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.tilesCalls != 2 {
 		t.Fatalf("different timestep count reused a stale plan (%d tiler calls, want 2)", cs.tilesCalls)
 	}
 	// Both plans stay cached: replaying either count stays tiler-free.
-	if _, err := s.RunSteps(4); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunSteps(2); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if cs.tilesCalls != 2 {
@@ -170,10 +170,10 @@ func TestPlanCachePerSolver(t *testing.T) {
 	}
 	a := mk([]int{18, 18, 18}, 2)
 	b := mk([]int{26, 14, 14}, 3)
-	if _, err := a.RunSteps(3); err != nil {
+	if _, err := a.Execute(nil, RunSpec{Timesteps: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.RunSteps(3); err != nil {
+	if _, err := b.Execute(nil, RunSpec{Timesteps: 3}); err != nil {
 		t.Fatal(err)
 	}
 	pa, pb := a.plans[3], b.plans[3]
@@ -190,7 +190,7 @@ func TestPlanCachePerSolver(t *testing.T) {
 }
 
 // TestCachedPlanRunAllocs pins the allocation diet end to end: once the
-// plan is cached, a RunSteps execution must allocate O(1) — per-run
+// plan is cached, an Execute call must allocate O(1) — per-run
 // scheduler state comes from the pool, traversals and dependency arrays
 // from the plan — not O(tiles). Before the diet this path cost several
 // allocations per tile.
@@ -205,23 +205,24 @@ func TestCachedPlanRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetInitial(func(pt []int) float64 { return float64(pt[0]) })
-	rep, err := s.RunSteps(8) // build + warm the plan cache and scheduler pool
+	out, err := s.Execute(nil, RunSpec{Timesteps: 8}) // build + warm the plan cache and scheduler pool
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := out.Report
 	if rep.Tiles < 50 {
 		t.Fatalf("want a tiling big enough to make the bound meaningful, got %d tiles", rep.Tiles)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := s.RunSteps(8); err != nil {
+		if _, err := s.Execute(nil, RunSpec{Timesteps: 8}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("steady-state RunSteps: %.1f allocs/run over %d tiles", avg, rep.Tiles)
+	t.Logf("steady-state Execute: %.1f allocs/run over %d tiles", avg, rep.Tiles)
 	// The bound is intentionally loose (goroutine spawns, report slices,
 	// closures) but far below one allocation per tile.
 	if avg > float64(rep.Tiles)/2 || avg > 150 {
-		t.Fatalf("steady-state RunSteps allocates %.1f per run (%d tiles): plan cache or scheduler pool regressed", avg, rep.Tiles)
+		t.Fatalf("steady-state Execute allocates %.1f per run (%d tiles): plan cache or scheduler pool regressed", avg, rep.Tiles)
 	}
 }
 

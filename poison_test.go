@@ -34,20 +34,20 @@ func TestNegativeTimestepsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunSteps(-1); err == nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: -1}); err == nil {
 		t.Fatal("negative timesteps accepted")
 	}
 	if s.Err() != nil {
 		t.Errorf("rejected argument poisoned the solver: %v", s.Err())
 	}
 	// Zero timesteps keeps returning the zero report.
-	rep, err := s.RunSteps(0)
-	if err != nil || rep.Updates != 0 || rep.Seconds != 0 || len(rep.UpdatesPerWorker) != 2 {
+	out, err := s.Execute(nil, RunSpec{})
+	if rep := out.Report; err != nil || rep.Updates != 0 || rep.Seconds != 0 || len(rep.UpdatesPerWorker) != 2 {
 		t.Errorf("zero-step report = %+v, %v", rep, err)
 	}
 }
 
-// Every error return of RunSteps must carry a report with only the
+// Every error return of Execute must carry a report with only the
 // identity fields set: a nonzero Seconds on a failed run would make
 // Gupdates look like a real (meaningless) rate.
 func TestErrorReportZeroed(t *testing.T) {
@@ -57,10 +57,11 @@ func TestErrorReportZeroed(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := s.RunStepsContext(ctx, 4)
+	out, err := s.Execute(ctx, RunSpec{Timesteps: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	rep := out.Report
 	if rep.Scheme != NuCORALS || rep.Workers != 2 || rep.Timesteps != 4 || rep.FlopsPerUpdate == 0 {
 		t.Errorf("identity fields missing from error report: %+v", rep)
 	}
@@ -79,7 +80,7 @@ func TestCancelPoisonsAndImportRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetInitial(func(pt []int) float64 { return float64(pt[0] - pt[1]) })
-	if _, err := s.RunSteps(2); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	snapshot := s.Export(nil)
@@ -88,7 +89,7 @@ func TestCancelPoisonsAndImportRestores(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RunStepsContext(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, err := s.Execute(ctx, RunSpec{Timesteps: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
@@ -151,7 +152,7 @@ func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
 
 				// Checkpoint a healthy solver to restore from later.
 				healthy := mk()
-				if _, err := healthy.RunSteps(2); err != nil {
+				if _, err := healthy.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 					t.Fatal(err)
 				}
 				var cp bytes.Buffer
@@ -161,7 +162,7 @@ func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
 				wantProbe := healthy.Value([]int{7, 7})
 
 				s := mk()
-				if _, err := s.RunSteps(2); err != nil {
+				if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 					t.Fatal(err)
 				}
 				// Panic on the plan's first tile execution: it fires no
@@ -169,7 +170,7 @@ func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
 				// peers that complete other tiles concurrently leave
 				// multi-tile plans genuinely half-mutated.
 				s.execWrap = panicWrapNth(1)
-				_, err := s.RunSteps(2)
+				_, err := s.Execute(nil, RunSpec{Timesteps: 2})
 				var pe *engine.PanicError
 				if !errors.As(err, &pe) {
 					t.Fatalf("err = %v (%T), want *engine.PanicError", err, err)
@@ -195,7 +196,7 @@ func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
 				if got := s.Value([]int{7, 7}); got != wantProbe {
 					t.Errorf("restored value %v, want %v", got, wantProbe)
 				}
-				if _, err := s.RunSteps(2); err != nil {
+				if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 					t.Errorf("run after restore: %v", err)
 				}
 			})
@@ -203,7 +204,7 @@ func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
 	}
 }
 
-// RunContext cancellation mid-run (not pre-cancelled): a deadline lands
+// Cancellation mid-run (not pre-cancelled): a deadline lands
 // while a long plan executes, the error is the context's, and the solver
 // poisons — under both executors.
 func TestRunContextDeadlineMidRun(t *testing.T) {
@@ -223,7 +224,7 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err = s.RunContext(ctx)
+		_, err = s.Execute(ctx, RunSpec{Timesteps: 40})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("static=%v: err = %v, want context.DeadlineExceeded", static, err)

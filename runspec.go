@@ -9,16 +9,15 @@ import (
 // RunSpec selects everything one execution can do — timestep count,
 // trace recording, timeline rendering, simulated performance counters —
 // in a single value that marshals to JSON, so a job server can take a
-// spec straight off the wire and hand it to Execute unchanged. The
-// twelve legacy Run*/RunSteps* method variants are all one-line shims
-// over (spec, Execute) pairs; see DESIGN.md "Migrating to Execute".
+// spec straight off the wire and hand it to Execute unchanged; see
+// DESIGN.md "Execute".
 //
 // The zero RunSpec runs zero timesteps and collects nothing.
 type RunSpec struct {
 	// Timesteps is the number of Jacobi iterations to advance. Zero runs
 	// nothing and returns an empty report (a server should default it
-	// from its job admission policy, not here: an explicit zero must
-	// stay a no-op so RunSteps(0) keeps its meaning through the shims).
+	// from its job admission policy, not here: an explicit zero stays a
+	// no-op).
 	Timesteps int `json:"timesteps"`
 	// Trace records the execution timeline; RunOutput.Trace carries it.
 	Trace bool `json:"trace,omitempty"`
@@ -26,25 +25,33 @@ type RunSpec struct {
 	// Gantt chart this many columns wide into RunOutput.Timeline. It
 	// implies Trace.
 	TimelineWidth int `json:"timeline_width,omitempty"`
-	// Counters collects simulated performance counters and a bottleneck
-	// attribution; RunOutput.Counters carries them.
+	// Counters collects simulated performance counters — each tile's
+	// traffic priced with the scheme's cost model and attributed to NUMA
+	// nodes through page ownership — and a bottleneck attribution;
+	// RunOutput.Counters carries them. With Trace also set, the scheduler
+	// samples become Chrome trace counter tracks.
 	Counters bool `json:"counters,omitempty"`
 	// Machine selects the modeled machine pricing the counters (default
 	// XeonX7550). Consulted only when Counters is set.
 	Machine MachineName `json:"machine,omitempty"`
-	// SamplePeriod is the scheduler sampling period for counted runs:
-	// zero means the default 1 ms, negative disables sampling. Consulted
-	// only when Counters is set.
+	// SamplePeriod is the scheduler sampling period for ready-queue depth
+	// and idle-worker counts in counted runs: zero means the default 1 ms,
+	// negative disables sampling. The sampler reads only atomics the
+	// scheduler already maintains, so the per-tile hot path is unaffected
+	// either way. Consulted only when Counters is set.
 	SamplePeriod time.Duration `json:"sample_period_ns,omitempty"`
 }
 
-// counterOptions converts the spec's counter fields to the legacy
-// options struct (nil when counters are off).
-func (spec RunSpec) counterOptions() *CounterOptions {
-	if !spec.Counters {
-		return nil
+// samplePeriod resolves SamplePeriod's default: 1 ms for zero, and zero
+// (no sampling) for a negative period.
+func (spec RunSpec) samplePeriod() time.Duration {
+	if spec.SamplePeriod == 0 {
+		return time.Millisecond
 	}
-	return &CounterOptions{Machine: spec.Machine, SamplePeriod: spec.SamplePeriod}
+	if spec.SamplePeriod < 0 {
+		return 0
+	}
+	return spec.SamplePeriod
 }
 
 // RunOutput bundles everything one execution produced. Fields beyond
@@ -91,8 +98,8 @@ func (o *RunOutput) MarshalJSON() ([]byte, error) {
 
 // Execute advances the grid by spec.Timesteps iterations, collecting
 // whatever observability the spec selects, and returns the bundled
-// output. It is the single entrypoint the legacy Run*/RunSteps*
-// variants shim over: a server unmarshals a RunSpec off the wire and
+// output. It is the solver's one execution entry point (Run is its
+// convenience form): a server unmarshals a RunSpec off the wire and
 // calls Execute with the request's context.
 //
 // A nil ctx means no cancellation (and costs nothing on the hot path);
@@ -102,8 +109,10 @@ func (o *RunOutput) MarshalJSON() ([]byte, error) {
 // leaking across jobs. The returned *RunOutput is never nil: on error
 // it carries a report holding only the identity fields.
 func (s *Solver) Execute(ctx context.Context, spec RunSpec) (*RunOutput, error) {
-	traced := spec.Trace || spec.TimelineWidth > 0
-	rep, tr, pc, err := s.runSteps(ctx, spec.Timesteps, traced, spec.counterOptions())
+	if spec.TimelineWidth > 0 {
+		spec.Trace = true
+	}
+	rep, tr, pc, err := s.runSteps(ctx, spec)
 	out := &RunOutput{Report: rep, Trace: tr, Counters: pc}
 	if err != nil {
 		return out, err

@@ -1,14 +1,15 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"nustencil"
 	"nustencil/internal/histo"
+	"nustencil/internal/prom"
 )
 
 // Metrics is the server's counter registry: job lifecycle totals,
@@ -245,101 +246,69 @@ func (m *Metrics) Snapshot() Snapshot {
 // deterministic for a fixed registry state.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	s := m.Snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# HELP nustencil_server_uptime_seconds Seconds since the server started.\n")
-	p("# TYPE nustencil_server_uptime_seconds gauge\n")
-	p("nustencil_server_uptime_seconds %g\n", s.UptimeSeconds)
-	p("# HELP nustencil_server_jobs_total Jobs by lifecycle outcome.\n")
-	p("# TYPE nustencil_server_jobs_total counter\n")
-	p("nustencil_server_jobs_total{status=\"submitted\"} %d\n", s.Submitted)
-	p("nustencil_server_jobs_total{status=\"rejected\"} %d\n", s.Rejected)
-	p("nustencil_server_jobs_total{status=\"completed\"} %d\n", s.Completed)
-	p("nustencil_server_jobs_total{status=\"failed\"} %d\n", s.Failed)
-	p("nustencil_server_jobs_total{status=\"expired\"} %d\n", s.Expired)
-	p("# HELP nustencil_server_queue_depth Jobs queued, not yet running.\n")
-	p("# TYPE nustencil_server_queue_depth gauge\n")
-	p("nustencil_server_queue_depth %d\n", s.QueueDepth)
-	p("# HELP nustencil_server_running_jobs Jobs currently executing.\n")
-	p("# TYPE nustencil_server_running_jobs gauge\n")
-	p("nustencil_server_running_jobs %d\n", s.Running)
+	p := prom.NewWriter(w)
+	p.Family("nustencil_server_uptime_seconds", "gauge", "Seconds since the server started.")
+	p.Float("nustencil_server_uptime_seconds", s.UptimeSeconds)
+	p.Family("nustencil_server_jobs_total", "counter", "Jobs by lifecycle outcome.")
+	p.Int("nustencil_server_jobs_total", s.Submitted, "status", "submitted")
+	p.Int("nustencil_server_jobs_total", s.Rejected, "status", "rejected")
+	p.Int("nustencil_server_jobs_total", s.Completed, "status", "completed")
+	p.Int("nustencil_server_jobs_total", s.Failed, "status", "failed")
+	p.Int("nustencil_server_jobs_total", s.Expired, "status", "expired")
+	p.Family("nustencil_server_queue_depth", "gauge", "Jobs queued, not yet running.")
+	p.Int("nustencil_server_queue_depth", s.QueueDepth)
+	p.Family("nustencil_server_running_jobs", "gauge", "Jobs currently executing.")
+	p.Int("nustencil_server_running_jobs", s.Running)
 
-	writeHistSummary(p, "nustencil_server_job_latency_seconds", "Job latency, submission to finish.", &s.Latency)
-	writeHistSummary(p, "nustencil_server_queue_wait_seconds", "Queue wait, submission to execution start.", &s.QueueWait)
+	p.Summary("nustencil_server_job_latency_seconds", "Job latency, submission to finish.", &s.Latency, 0.5, 0.9, 0.99)
+	p.Summary("nustencil_server_queue_wait_seconds", "Queue wait, submission to execution start.", &s.QueueWait, 0.5, 0.9, 0.99)
 
 	names := make([]string, 0, len(s.Tenants))
 	for name := range s.Tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	p("# HELP nustencil_server_tenant_jobs_total Per-tenant jobs by outcome.\n")
-	p("# TYPE nustencil_server_tenant_jobs_total counter\n")
+	p.Family("nustencil_server_tenant_jobs_total", "counter", "Per-tenant jobs by outcome.")
 	for _, name := range names {
 		t := s.Tenants[name]
-		p("nustencil_server_tenant_jobs_total{tenant=%q,status=\"submitted\"} %d\n", name, t.Submitted)
-		p("nustencil_server_tenant_jobs_total{tenant=%q,status=\"rejected\"} %d\n", name, t.Rejected)
-		p("nustencil_server_tenant_jobs_total{tenant=%q,status=\"completed\"} %d\n", name, t.Completed)
-		p("nustencil_server_tenant_jobs_total{tenant=%q,status=\"failed\"} %d\n", name, t.Failed)
+		p.Int("nustencil_server_tenant_jobs_total", t.Submitted, "tenant", name, "status", "submitted")
+		p.Int("nustencil_server_tenant_jobs_total", t.Rejected, "tenant", name, "status", "rejected")
+		p.Int("nustencil_server_tenant_jobs_total", t.Completed, "tenant", name, "status", "completed")
+		p.Int("nustencil_server_tenant_jobs_total", t.Failed, "tenant", name, "status", "failed")
 	}
-	p("# HELP nustencil_server_tenant_latency_seconds Per-tenant job latency quantiles.\n")
-	p("# TYPE nustencil_server_tenant_latency_seconds summary\n")
+	p.Family("nustencil_server_tenant_latency_seconds", "summary", "Per-tenant job latency quantiles.")
 	for _, name := range names {
 		t := s.Tenants[name]
 		for _, q := range []float64{0.5, 0.99} {
-			p("nustencil_server_tenant_latency_seconds{tenant=%q,quantile=\"%g\"} %g\n", name, q, t.Latency.Quantile(q).Seconds())
+			p.Float("nustencil_server_tenant_latency_seconds", t.Latency.Quantile(q).Seconds(), "tenant", name, "quantile", prom.G(q))
 		}
 	}
 
-	p("# HELP nustencil_sim_updates_total Simulated point updates over counted jobs.\n")
-	p("# TYPE nustencil_sim_updates_total counter\n")
-	p("nustencil_sim_updates_total %d\n", s.SimUpdates)
-	p("# HELP nustencil_sim_flops_total Simulated floating-point operations over counted jobs.\n")
-	p("# TYPE nustencil_sim_flops_total counter\n")
-	p("nustencil_sim_flops_total %d\n", s.SimFlops)
-	p("# HELP nustencil_sim_llc_bytes_total Simulated last-level-cache bytes over counted jobs.\n")
-	p("# TYPE nustencil_sim_llc_bytes_total counter\n")
-	p("nustencil_sim_llc_bytes_total %d\n", s.SimLLCBytes)
-	p("# HELP nustencil_sim_main_bytes_total Simulated main-memory bytes over counted jobs, by locality.\n")
-	p("# TYPE nustencil_sim_main_bytes_total counter\n")
-	p("nustencil_sim_main_bytes_total{locality=\"local\"} %d\n", s.SimLocalBytes)
-	p("nustencil_sim_main_bytes_total{locality=\"remote\"} %d\n", s.SimRemoteBytes)
-	p("# HELP nustencil_sim_network_bytes_total Simulated inter-rank network bytes over counted jobs.\n")
-	p("# TYPE nustencil_sim_network_bytes_total counter\n")
-	p("nustencil_sim_network_bytes_total %d\n", s.SimNetworkBytes)
+	p.Family("nustencil_sim_updates_total", "counter", "Simulated point updates over counted jobs.")
+	p.Int("nustencil_sim_updates_total", s.SimUpdates)
+	p.Family("nustencil_sim_flops_total", "counter", "Simulated floating-point operations over counted jobs.")
+	p.Int("nustencil_sim_flops_total", s.SimFlops)
+	p.Family("nustencil_sim_llc_bytes_total", "counter", "Simulated last-level-cache bytes over counted jobs.")
+	p.Int("nustencil_sim_llc_bytes_total", s.SimLLCBytes)
+	p.Family("nustencil_sim_main_bytes_total", "counter", "Simulated main-memory bytes over counted jobs, by locality.")
+	p.Int("nustencil_sim_main_bytes_total", s.SimLocalBytes, "locality", "local")
+	p.Int("nustencil_sim_main_bytes_total", s.SimRemoteBytes, "locality", "remote")
+	p.Family("nustencil_sim_network_bytes_total", "counter", "Simulated inter-rank network bytes over counted jobs.")
+	p.Int("nustencil_sim_network_bytes_total", s.SimNetworkBytes)
 
 	ranksList := make([]int, 0, len(s.DistJobs))
 	for r := range s.DistJobs {
 		ranksList = append(ranksList, r)
 	}
 	sort.Ints(ranksList)
-	p("# HELP nustencil_server_dist_jobs_total Completed multi-rank jobs by rank count.\n")
-	p("# TYPE nustencil_server_dist_jobs_total counter\n")
+	p.Family("nustencil_server_dist_jobs_total", "counter", "Completed multi-rank jobs by rank count.")
 	for _, r := range ranksList {
-		p("nustencil_server_dist_jobs_total{ranks=\"%d\"} %d\n", r, s.DistJobs[r])
+		p.Int("nustencil_server_dist_jobs_total", s.DistJobs[r], "ranks", strconv.Itoa(r))
 	}
-	p("# HELP nustencil_server_dist_network_bytes_total Distributed-runtime network bytes by kind.\n")
-	p("# TYPE nustencil_server_dist_network_bytes_total counter\n")
-	p("nustencil_server_dist_network_bytes_total{kind=\"halo\"} %d\n", s.DistHaloBytes)
-	p("nustencil_server_dist_network_bytes_total{kind=\"migration\"} %d\n", s.DistMigrationBytes)
-	p("# HELP nustencil_server_dist_migrations_total Chare migrations across completed multi-rank jobs.\n")
-	p("# TYPE nustencil_server_dist_migrations_total counter\n")
-	p("nustencil_server_dist_migrations_total %d\n", s.DistMigrations)
-	return err
-}
-
-// writeHistSummary renders one histogram as a Prometheus summary
-// (quantiles at the log₂ resolution the Hist can promise, plus the
-// _sum/_count pair).
-func writeHistSummary(p func(string, ...any), name, help string, h *histo.Hist) {
-	p("# HELP %s %s\n", name, help)
-	p("# TYPE %s summary\n", name)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		p("%s{quantile=\"%g\"} %g\n", name, q, h.Quantile(q).Seconds())
-	}
-	p("%s_sum %g\n", name, h.Sum.Seconds())
-	p("%s_count %d\n", name, h.N)
+	p.Family("nustencil_server_dist_network_bytes_total", "counter", "Distributed-runtime network bytes by kind.")
+	p.Int("nustencil_server_dist_network_bytes_total", s.DistHaloBytes, "kind", "halo")
+	p.Int("nustencil_server_dist_network_bytes_total", s.DistMigrationBytes, "kind", "migration")
+	p.Family("nustencil_server_dist_migrations_total", "counter", "Chare migrations across completed multi-rank jobs.")
+	p.Int("nustencil_server_dist_migrations_total", s.DistMigrations)
+	return p.Err()
 }

@@ -59,7 +59,7 @@ func TestImportConsistentAcrossParity(t *testing.T) {
 		t.Fatalf("value after import at odd parity: %v", got)
 	}
 	// Running again must start from the imported state in both buffers.
-	if _, err := s.RunSteps(1); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,7 +86,7 @@ func TestSetSourceLinearGrowth(t *testing.T) {
 	}
 	// Clearing the source freezes the uniform region again.
 	s.SetSource(nil)
-	if _, err := s.RunSteps(1); err != nil {
+	if _, err := s.Execute(nil, RunSpec{Timesteps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if g2 := s.Value([]int{7, 7, 7}); math.Abs(g2-want) > 1e-9 {
