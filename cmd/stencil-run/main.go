@@ -150,6 +150,7 @@ func realMain(args []string, stdout io.Writer) error {
 		rep.Gupdates(), rep.GFLOPS(), rep.FlopsPerUpdate)
 	if rep.Imbalance > 0 {
 		fmt.Fprintf(stdout, "imbalance  %.2f (max/mean worker busy time)\n", rep.Imbalance)
+		fmt.Fprintf(stdout, "utilization %.2f (busy share of the workers' time)\n", rep.Utilization)
 	}
 	if d := rep.Dist; d != nil {
 		fmt.Fprintf(stdout, "halo       %d msgs, %d bytes (latency p50 %v, p99 %v)\n",

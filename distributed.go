@@ -106,6 +106,7 @@ func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (
 	rep.Tiles = int(res.ChareSteps)
 	rep.UpdatesPerWorker = res.UpdatesPerWorker
 	rep.Imbalance = engine.Imbalance(res.BusyPerWorker)
+	rep.Utilization = utilization(res.BusyPerWorker, rep.Seconds)
 	rep.Migrations = res.Migrations
 	rep.Dist = &DistStats{
 		Ranks:          cfg.Ranks,

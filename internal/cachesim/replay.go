@@ -109,12 +109,12 @@ func coresPerSocket(p *tiling.Problem) int {
 }
 
 // topoOrder serializes the engine's scheduling policy deterministically:
-// per-owner FIFO ready queues (plus a shared queue for unowned tiles) with
-// round-robin worker turns. Unlike a plain Kahn BFS — which sweeps the
-// whole domain one dependency layer at a time and destroys every worker's
-// temporal reuse — this keeps each worker ascending its own parallelograms
-// in the tiler's emission order, which is what the concurrent engine does
-// and what the caches see.
+// in round-robin worker turns, each worker takes its lowest-ID ready tile,
+// from its own tiles first and then from the unowned ones, as engine.Run
+// does. Unlike a plain Kahn BFS — which sweeps the whole domain one
+// dependency layer at a time and destroys every worker's temporal reuse —
+// this keeps each worker ascending its own tiles in the tiler's emission
+// order, which is what the concurrent engine does and what the caches see.
 func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 	spacetime.AssignIDs(tiles)
 	deps := engine.BuildDeps(tiles, order, nil)
@@ -129,14 +129,14 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 			dependents[j] = append(dependents[j], i)
 		}
 	}
-	ownQ := make([][]int, workers)
-	var sharedQ []int
+	// ready[w] holds worker w's ready tiles, ready[workers] the unowned ones.
+	ready := make([][]int, workers+1)
 	push := func(i int) {
+		q := workers
 		if o := tiles[i].Owner; o >= 0 {
-			ownQ[o%workers] = append(ownQ[o%workers], i)
-		} else {
-			sharedQ = append(sharedQ, i)
+			q = o % workers
 		}
+		ready[q] = append(ready[q], i)
 	}
 	for i := range tiles {
 		if indeg[i] == 0 {
@@ -147,15 +147,14 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 	var out []int
 	for len(out) < len(tiles) {
 		for w := 0; w < workers; w++ {
-			var i int
-			switch {
-			case len(ownQ[w]) > 0:
-				i, ownQ[w] = ownQ[w][0], ownQ[w][1:]
-			case len(sharedQ) > 0:
-				i, sharedQ = sharedQ[0], sharedQ[1:]
-			default:
+			q := w
+			if len(ready[q]) == 0 {
+				q = workers
+			}
+			if len(ready[q]) == 0 {
 				continue
 			}
+			i := popLowest(&ready[q])
 			out = append(out, i)
 			for _, d := range dependents[i] {
 				indeg[d]--
@@ -166,6 +165,22 @@ func topoOrder(tiles []*spacetime.Tile, order, workers int) ([]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// popLowest removes and returns the smallest tile index in the non-empty
+// ready set *q.
+func popLowest(q *[]int) int {
+	s := *q
+	m := 0
+	for k := range s {
+		if s[k] < s[m] {
+			m = k
+		}
+	}
+	i := s[m]
+	s[m] = s[len(s)-1]
+	*q = s[:len(s)-1]
+	return i
 }
 
 // flatOffsets mirrors the kernel's per-point flat offsets.

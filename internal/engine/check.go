@@ -60,28 +60,15 @@ func CheckStatic(tiles []*spacetime.Tile, deps [][]int, workers int) error {
 
 // staticLists builds the per-worker static tile lists in CSR form: worker w
 // runs tiles flat[off[w]:off[w+1]] in emission order, tile i belonging to
-// worker tiles[i].Owner % workers. A counting pass sizes one flat buffer
-// instead of growing workers slices by repeated append.
+// worker tiles[i].Owner % workers — the owned queues' lists of Run.
 func staticLists(tiles []*spacetime.Tile, workers int) (off []int, flat []int32, err error) {
-	off = make([]int, workers+1)
-	for _, t := range tiles {
-		if t.Owner < 0 {
-			return nil, nil, ErrUnownedTile
-		}
-		off[t.Owner%workers+1]++
-	}
-	for w := 1; w <= workers; w++ {
-		off[w] += off[w-1]
-	}
+	off = make([]int, workers+2)
 	flat = make([]int32, len(tiles))
-	next := make([]int, workers)
-	copy(next, off[:workers])
-	for i, t := range tiles {
-		w := t.Owner % workers
-		flat[next[w]] = int32(i)
-		next[w]++
+	queueLists(tiles, workers, off, flat, nil)
+	if off[workers+1] > off[workers] {
+		return nil, nil, ErrUnownedTile
 	}
-	return off, flat, nil
+	return off[:workers+1], flat, nil
 }
 
 // acyclic reports whether the graph whose node i has the out-edges deps[i],

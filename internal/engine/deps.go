@@ -13,6 +13,8 @@
 package engine
 
 import (
+	"sort"
+
 	"nustencil/internal/grid"
 	"nustencil/internal/spacetime"
 )
@@ -25,9 +27,12 @@ import (
 //
 // The derivation is exact at tile granularity: tile i depends on tile j iff
 // some cross-section of i at timestep ts, grown by s, intersects j's
-// cross-section at ts-1 (modulo the torus). A per-timestep index keeps this
-// near-linear in the total number of (tile, timestep) pairs for typical
-// tilings.
+// cross-section at ts-1 (modulo the torus). deps[i] lists the matches of
+// each timestep in ascending tile index, timesteps ascending, each tile
+// once. Each timestep's cross-sections are sorted by their low corner in
+// dimension 0, so a query tests only the boxes whose dimension-0 range can
+// reach it — near-linear in the (tile, timestep) pairs for slab-like
+// tilings instead of quadratic.
 func BuildDeps(tiles []*spacetime.Tile, s int, wrap []int) [][]int {
 	// Index tiles by the timesteps at which they have non-empty
 	// cross-sections.
@@ -52,14 +57,21 @@ func BuildDeps(tiles []*spacetime.Tile, s int, wrap []int) [][]int {
 	if first {
 		return make([][]int, len(tiles))
 	}
-	span := maxT - minT
-	byStep := make([][]int, span)
+	steps := make([]stepIndex, maxT-minT)
 	for i, t := range tiles {
 		for ts := t.T0; ts < t.T1(); ts++ {
-			if !t.At(ts).Empty() {
-				byStep[ts-minT] = append(byStep[ts-minT], i)
+			if b := t.At(ts); !b.Empty() {
+				st := &steps[ts-minT]
+				st.lo = append(st.lo, b.Lo[0])
+				st.tile = append(st.tile, i)
+				if e := b.Extent(0); e > st.maxExt {
+					st.maxExt = e
+				}
 			}
 		}
+	}
+	for k := range steps {
+		sort.Sort(&steps[k])
 	}
 
 	deps := make([][]int, len(tiles))
@@ -67,6 +79,7 @@ func BuildDeps(tiles []*spacetime.Tile, s int, wrap []int) [][]int {
 	for i := range lastSeen {
 		lastSeen[i] = -1
 	}
+	var found []int
 	for i, t := range tiles {
 		for ts := t.T0; ts < t.T1(); ts++ {
 			if ts-1 < minT || ts-1 >= maxT {
@@ -76,18 +89,62 @@ func BuildDeps(tiles []*spacetime.Tile, s int, wrap []int) [][]int {
 			if a.Empty() {
 				continue
 			}
-			for _, j := range byStep[ts-1-minT] {
-				if j == i || lastSeen[j] == i {
-					continue
-				}
-				if intersectsGrownWrapped(a, s, tiles[j].At(ts-1), wrap) {
-					lastSeen[j] = i
-					deps[i] = append(deps[i], j)
+			st := &steps[ts-1-minT]
+			found = found[:0]
+			// A box at ts-1 shifted by d in dimension 0 can meet a grown by
+			// s only if its low corner lies in [lo, hi); across a periodic
+			// seam the shifted copies are queried too.
+			shifts, n := seamShifts(a, s, wrap)
+			for _, d := range shifts[:n] {
+				lo, hi := a.Lo[0]-s-st.maxExt-d, a.Hi[0]+s-d
+				for k := sort.SearchInts(st.lo, lo); k < len(st.lo) && st.lo[k] < hi; k++ {
+					j := st.tile[k]
+					if j == i || lastSeen[j] == i {
+						continue
+					}
+					if intersectsGrownWrapped(a, s, tiles[j].At(ts-1), wrap) {
+						lastSeen[j] = i
+						found = append(found, j)
+					}
 				}
 			}
+			sort.Ints(found)
+			deps[i] = append(deps[i], found...)
 		}
 	}
 	return deps
+}
+
+// stepIndex holds one timestep's non-empty cross-sections sorted by their
+// low corner in dimension 0: tile[k]'s box starts at lo[k], and maxExt is
+// the widest box's extent in dimension 0.
+type stepIndex struct {
+	lo, tile []int
+	maxExt   int
+}
+
+func (x *stepIndex) Len() int           { return len(x.lo) }
+func (x *stepIndex) Less(a, b int) bool { return x.lo[a] < x.lo[b] }
+func (x *stepIndex) Swap(a, b int) {
+	x.lo[a], x.lo[b] = x.lo[b], x.lo[a]
+	x.tile[a], x.tile[b] = x.tile[b], x.tile[a]
+}
+
+// seamShifts returns the n dimension-0 shifts under which a box can meet a
+// grown by s: 0, plus ∓extent when the grown box crosses the low or high
+// seam of a periodic domain.
+func seamShifts(a grid.Box, s int, wrap []int) (shifts [3]int, n int) {
+	n = 1
+	if wrap == nil {
+		return shifts, n
+	}
+	if a.Lo[0]-s < 0 {
+		shifts[n], n = -wrap[0], n+1
+	}
+	if a.Hi[0]+s > wrap[0] {
+		shifts[n], n = wrap[0], n+1
+	}
+	return shifts, n
 }
 
 // intersectsGrownWrapped tests a.Grow(s) ∩ v on the torus defined by wrap

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -158,6 +159,40 @@ func TestRunSharedQueueDrainsUnownedTiles(t *testing.T) {
 	}
 	if executed != len(tiles) {
 		t.Fatalf("executed %d, want %d", executed, len(tiles))
+	}
+}
+
+// A worker runs its lowest-ID ready tile, not the tile that became ready
+// first: tile 1 becomes ready after tile 2 but precedes it in the plan.
+func TestRunReadyTilesInPlanOrder(t *testing.T) {
+	interior := grid.NewBox([]int{0}, []int{30})
+	left := grid.NewBox([]int{0}, []int{10})
+	for name, owner := range map[string]int{"owned": 0, "shared": -1} {
+		t.Run(name, func(t *testing.T) {
+			tiles := spacetime.AssignIDs([]*spacetime.Tile{
+				spacetime.NewTileFromBox(left, 0, 1, interior),
+				spacetime.NewTileFromBox(left, 1, 1, interior), // reads tile 0
+				spacetime.NewTileFromBox(grid.NewBox([]int{20}, []int{30}), 0, 1, interior),
+			})
+			for _, tile := range tiles {
+				tile.Owner = owner
+			}
+			var order []int
+			_, err := Run(tiles, Config{
+				Workers: 1,
+				Order:   1,
+				Exec: func(_ int, tile *spacetime.Tile) int64 {
+					order = append(order, tile.ID)
+					return 0
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(order) != "[0 1 2]" {
+				t.Errorf("execution order %v, want [0 1 2]", order)
+			}
+		})
 	}
 }
 

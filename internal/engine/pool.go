@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nustencil/internal/spacetime"
 	"nustencil/internal/xsync"
 )
 
@@ -12,8 +13,8 @@ import (
 // runs of the same plan (iterative solvers, benchmarks) execute without
 // growing the heap. The buffers are sized for the largest run they have
 // served and only grow; the contained values are either rewritten in full
-// each run (nDeps, the CSR arrays) or explicitly reset (queue backing,
-// parkers).
+// each run (nDeps, the CSR arrays, the queue lists) or explicitly reset
+// (ready bitmaps, parkers).
 //
 // The reverse dependency graph is stored in CSR form — one offsets array
 // and one flat edge array — instead of a [][]int32 built by per-edge
@@ -29,14 +30,17 @@ type schedMem struct {
 	depFlat []int32
 	cursor  []int32
 
-	// qbuf is the single backing array behind every tile queue. Each tile
-	// is routed to exactly one queue exactly once, so the queues' summed
-	// capacity is len(tiles) and one flat buffer serves them all.
-	qbuf []atomic.Int32
+	// queues are the per-worker ready queues followed by the shared one.
+	// qOff/qList are their ID-ordered tile lists in CSR form, qPos[i] is
+	// tile i's position in its queue's list, and qBits is the one flat
+	// backing array behind every queue's ready bitmap.
+	queues []readyQueue
+	qOff   []int
+	qList  []int32
+	qPos   []int32
+	qBits  []atomic.Uint64
 
-	ownQ     []tileQueue
-	ownCount []int
-	parkers  []xsync.Parker
+	parkers []xsync.Parker
 }
 
 var schedMemPool = sync.Pool{New: func() any { return new(schedMem) }}
@@ -52,36 +56,18 @@ func getSchedMem(nTiles, workers int) *schedMem {
 	}
 	m.nDeps = m.nDeps[:nTiles]
 
-	if cap(m.depOff) < nTiles+1 {
-		m.depOff = make([]int32, nTiles+1)
+	m.depOff = growInt32(m.depOff, nTiles+1)
+	m.cursor = growInt32(m.cursor, nTiles)
+	m.qList = growInt32(m.qList, nTiles)
+	m.qPos = growInt32(m.qPos, nTiles)
+	if cap(m.queues) < workers+1 {
+		m.queues = make([]readyQueue, workers+1)
 	}
-	m.depOff = m.depOff[:nTiles+1]
-	if cap(m.cursor) < nTiles {
-		m.cursor = make([]int32, nTiles)
+	m.queues = m.queues[:workers+1]
+	if cap(m.qOff) < workers+2 {
+		m.qOff = make([]int, workers+2)
 	}
-	m.cursor = m.cursor[:nTiles]
-
-	// Queue slots must read zero ("reserved but unpublished") at the start
-	// of a run; the previous run left consumed tile ids behind.
-	if cap(m.qbuf) < nTiles {
-		m.qbuf = make([]atomic.Int32, nTiles)
-	}
-	m.qbuf = m.qbuf[:nTiles]
-	for i := range m.qbuf {
-		m.qbuf[i].Store(0)
-	}
-
-	if cap(m.ownQ) < workers {
-		m.ownQ = make([]tileQueue, workers)
-	}
-	m.ownQ = m.ownQ[:workers]
-	if cap(m.ownCount) < workers {
-		m.ownCount = make([]int, workers)
-	}
-	m.ownCount = m.ownCount[:workers]
-	for i := range m.ownCount {
-		m.ownCount[i] = 0
-	}
+	m.qOff = m.qOff[:workers+2]
 
 	if cap(m.parkers) < workers {
 		m.parkers = make([]xsync.Parker, workers)
@@ -129,6 +115,34 @@ func (m *schedMem) buildReverse(deps [][]int) {
 			m.cursor[j]++
 		}
 	}
+}
+
+// buildQueues fills every queue's ID-ordered tile list and points the
+// queues at cleared segments of the pooled bitmap, one bit per list entry.
+func (m *schedMem) buildQueues(tiles []*spacetime.Tile, workers int) {
+	queueLists(tiles, workers, m.qOff, m.qList, m.qPos)
+	words := 0
+	for q := range m.queues {
+		words += (m.qOff[q+1] - m.qOff[q] + 63) / 64
+	}
+	if cap(m.qBits) < words {
+		m.qBits = make([]atomic.Uint64, words)
+	}
+	m.qBits = m.qBits[:words]
+	w := 0
+	for q := range m.queues {
+		n := (m.qOff[q+1] - m.qOff[q] + 63) / 64
+		m.queues[q].reset(m.qList[m.qOff[q]:m.qOff[q+1]], m.qBits[w:w+n])
+		w += n
+	}
+}
+
+// growInt32 returns b resliced to length n, reallocated if it is too small.
+func growInt32(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 func putSchedMem(m *schedMem) { schedMemPool.Put(m) }

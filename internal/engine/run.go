@@ -173,9 +173,9 @@ const parkSpin = 8
 
 // runState is the scheduler state shared by the workers of one Run. There is
 // no global lock: dependency resolution is a fetch-add per edge, ready tiles
-// move through lock-free bounded queues, and idle workers park on their own
-// Parker and are woken individually — completing an owned tile wakes at most
-// its owner instead of broadcasting to every worker.
+// are bits in lock-free bitmaps, and idle workers park on their own Parker
+// and are woken individually — completing an owned tile wakes at most its
+// owner instead of broadcasting to every worker.
 type runState struct {
 	tiles []*spacetime.Tile
 	nDeps []atomic.Int32
@@ -185,8 +185,11 @@ type runState struct {
 	depOff  []int32
 	depFlat []int32
 
-	ownQ    []tileQueue // per-worker FIFO of ready tiles it owns
-	sharedQ tileQueue   // ready tiles with no owner, drained by anyone
+	// queues[w] holds the ready tiles worker w owns and queues[workers]
+	// the ownerless ones any worker may take; pos[i] is tile i's bit in
+	// its queue.
+	queues  []readyQueue
+	pos     []int32
 	parkers []xsync.Parker
 
 	remaining atomic.Int32 // tiles not yet executed
@@ -210,13 +213,15 @@ func (st *runState) fail(to int32) bool {
 // dependencies implied by the geometry for a stencil of order cfg.Order.
 // Tiles with Owner >= 0 run only on worker Owner % Workers (data-to-core
 // affinity); tiles with Owner < 0 go to a shared queue any worker may drain
-// (the NUMA-ignorant case). When cfg.Deps is nil, Run derives the
-// dependencies and returns ErrCycle, before executing anything, if they
-// are cyclic; a caller-supplied cfg.Deps must already have passed
-// CheckDeps. Run returns cfg.Ctx.Err() if the context is cancelled mid-run
-// and a *PanicError if any Exec panics. On those errors the grid may be
-// partially updated — it is the caller's job to treat the state as
-// unusable (see Solver poisoning).
+// (the NUMA-ignorant case). Each worker runs its lowest-ID ready tile
+// first, so ready tiles run in the tiler's emission order — the order
+// RunStatic walks — rather than the order they happened to become ready.
+// When cfg.Deps is nil, Run derives the dependencies and returns ErrCycle,
+// before executing anything, if they are cyclic; a caller-supplied
+// cfg.Deps must already have passed CheckDeps. Run returns cfg.Ctx.Err()
+// if the context is cancelled mid-run and a *PanicError if any Exec
+// panics. On those errors the grid may be partially updated — it is the
+// caller's job to treat the state as unusable (see Solver poisoning).
 func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	stats, err := newStats(cfg)
 	if err != nil {
@@ -241,40 +246,22 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	mem := getSchedMem(len(tiles), cfg.Workers)
 	defer putSchedMem(mem)
 	mem.buildReverse(deps)
+	mem.buildQueues(tiles, cfg.Workers)
 	st := &runState{
 		tiles:   tiles,
 		nDeps:   mem.nDeps,
 		depOff:  mem.depOff,
 		depFlat: mem.depFlat,
-		ownQ:    mem.ownQ,
+		queues:  mem.queues,
+		pos:     mem.qPos,
 		parkers: mem.parkers,
 	}
 	st.remaining.Store(int32(len(tiles)))
-
-	// Size each bounded queue by the tiles that can ever be routed to it;
-	// every tile is routed exactly once, so the queues partition one flat
-	// pooled backing of len(tiles) slots.
-	ownCount := mem.ownCount
-	sharedCount := 0
-	for _, t := range tiles {
-		if t.Owner < 0 {
-			sharedCount++
-		} else {
-			ownCount[t.Owner%cfg.Workers]++
-		}
-	}
-	qbuf := mem.qbuf
-	st.sharedQ.reset(qbuf[:sharedCount])
-	off := sharedCount
-	for w := range st.ownQ {
-		st.ownQ[w].reset(qbuf[off : off+ownCount[w]])
-		off += ownCount[w]
-	}
-	// Seed the initially-ready tiles in the tiler's emission order (workers
-	// have not started; plain pushes publish before the goroutines exist).
+	// Seed the initially-ready tiles (workers have not started; plain
+	// pushes publish before the goroutines exist).
 	for i := range tiles {
 		if st.nDeps[i].Load() == 0 {
-			st.route(i, cfg.Workers)
+			st.queues[queueOf(tiles[i], cfg.Workers)].push(st.pos[i])
 		}
 	}
 
@@ -334,30 +321,19 @@ func watchCtx(ctx context.Context, status *atomic.Int32, parkers []xsync.Parker)
 	}
 }
 
-// route enqueues ready tile i without waking anyone (setup phase).
-func (st *runState) route(i, workers int) {
-	if o := st.tiles[i].Owner; o < 0 {
-		st.sharedQ.push(i)
-	} else {
-		st.ownQ[o%workers].push(i)
-	}
-}
-
-// publish enqueues ready tile i and wakes the workers that may execute it:
+// publish marks ready tile i and wakes the workers that may execute it:
 // the single owner for owned tiles, everyone for shared tiles (any worker
 // may drain the shared queue, and a worker between its last empty poll and
 // its park is only caught by arming its own Parker). It returns the number
 // of wakeups issued, for the publisher's Unparks counter.
 func (st *runState) publish(i, workers int) int64 {
-	o := st.tiles[i].Owner
-	if o < 0 {
-		st.sharedQ.push(i)
+	q := queueOf(st.tiles[i], workers)
+	st.queues[q].push(st.pos[i])
+	if q == workers {
 		st.unparkAll()
 		return int64(workers)
 	}
-	w := o % workers
-	st.ownQ[w].push(i)
-	st.parkers[w].Unpark()
+	st.parkers[q].Unpark()
 	return 1
 }
 
@@ -377,15 +353,15 @@ func (st *runState) unparkAll() {
 	}
 }
 
-// next returns the next tile for worker w: its own queue first (preserving
-// the order tiles became ready for it), then the shared queue. Returns -1 if
-// nothing is ready for w right now; shared reports which queue the tile
-// came from, for the pop counters.
+// next returns the next tile for worker w: the lowest-ID ready tile it
+// owns, else the lowest-ID ready shared tile. Returns -1 if nothing is
+// ready for w right now; shared reports which queue the tile came from,
+// for the pop counters.
 func (st *runState) next(w int) (i int, shared bool) {
-	if i := st.ownQ[w].pop(); i >= 0 {
+	if i := st.queues[w].pop(); i >= 0 {
 		return i, false
 	}
-	return st.sharedQ.pop(), true
+	return st.queues[len(st.queues)-1].pop(), true
 }
 
 func (st *runState) worker(w int, cfg Config, stats *Stats) {

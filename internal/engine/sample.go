@@ -5,7 +5,7 @@ import "time"
 // Sample is one periodic scheduler observation, delivered to
 // Config.OnSample by the sampler goroutine Config.SampleEvery enables.
 // Every field is read from atomics the executors maintain next to their own
-// bookkeeping (queue indices, idle and waiting worker counts), so sampling
+// bookkeeping (ready bitmaps, idle and waiting worker counts), so sampling
 // adds no code to the per-tile hot path.
 type Sample struct {
 	// Elapsed is the time since the run's workers started.
@@ -52,20 +52,11 @@ func startSampler(cfg Config, snap func() Sample) (stop func()) {
 	}
 }
 
-// readyDepth counts enqueued-but-unclaimed tiles across every queue. The
-// head/tail loads race benignly with the workers — a sample is a snapshot,
-// not a barrier — so each queue's depth is clamped below at zero.
+// readyDepth counts ready-but-unclaimed tiles across every queue.
 func (st *runState) readyDepth() int {
-	depth := func(q *tileQueue) int {
-		d := int(q.tail.Load()) - int(q.head.Load())
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	n := depth(&st.sharedQ)
-	for w := range st.ownQ {
-		n += depth(&st.ownQ[w])
+	n := 0
+	for q := range st.queues {
+		n += st.queues[q].depth()
 	}
 	return n
 }

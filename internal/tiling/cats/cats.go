@@ -8,10 +8,13 @@
 // fixes.
 //
 // Realization notes (documented deviations from the original C++):
-//   - Slabs are materialized as spacetime tiles segmented in time; the
-//     engine's dependency-driven execution yields the same pipelined
-//     ordering the hand-rolled synchronization produced, and the in-tile
-//     order is the cache accurate wavefront (WavefrontTraverse).
+//   - Slabs are materialized as spacetime tiles: slabs × time segments ×
+//     wavefront chunks about as wide as a slab, emitted level by level
+//     (segment, then chunk, then slab). The engine runs each worker's
+//     ready tiles in that order, so neighbouring slabs trail each other by
+//     one chunk — the pipelined ordering the hand-rolled synchronization
+//     produced — and the in-tile order is the cache accurate wavefront
+//     (WavefrontTraverse), unchanged inside each chunk.
 //   - Tile boundaries clamp at domain edges instead of wrapping (Dirichlet
 //     boundaries rather than periodic).
 package cats
@@ -247,12 +250,21 @@ func min(a, b int) int {
 }
 
 // BuildSlabTiles constructs the skewed-slab tiling shared by CATS and
-// nuCATS: nTiles slabs along TilingDim (left skew = -order), optionally
-// also halved along the wavefront-traversal dimension (halveWavefrontDim,
-// nuCATS' second adjustment case), cut into time segments of height seg.
-// owners[i] is the worker of slab i (before the optional halving, which
-// keeps the owner for both halves' respective... each half keeps the slab
-// owner of its index pair).
+// nuCATS: nTiles slabs along TilingDim, cut into time segments of height
+// seg and along the wavefront-traversal dimension into chunks, every cut
+// skewed left by the stencil order. owners[i] is the worker of slab i.
+//
+// Each chunk is about as wide as a slab (⌈ext_wf·nTiles/ext_tiling⌉ chunks),
+// so a worker's slab segment becomes a pipeline of small tiles its
+// right-hand neighbour can start on after the first one, instead of after
+// the whole segment. With halveWavefrontDim (nuCATS' second adjustment
+// case) the wavefront dimension is instead cut into exactly two halves,
+// and half h of slab i belongs to owners[2i+h].
+//
+// Tiles are emitted level by level: segment, then chunk, then slab. A
+// tile reads only tiles of lower or equal (segment, chunk, slab), so the
+// emission order is topological, and every worker's tiles in emission
+// order form a valid static schedule.
 func BuildSlabTiles(p *tiling.Problem, nTiles int, owners []int, seg int, halveWavefrontDim bool) []*spacetime.Tile {
 	interior := p.Interior()
 	nd := interior.NumDims()
@@ -260,11 +272,20 @@ func BuildSlabTiles(p *tiling.Problem, nTiles int, owners []int, seg int, halveW
 
 	// Clamp to the extents: a slab or wavefront half must be at least one
 	// cell wide, so tiny interiors absorb the surplus parts.
-	if ext := interior.Extent(TilingDim); nTiles > ext && ext >= 1 {
+	ext := interior.Extent(TilingDim)
+	if nTiles > ext && ext >= 1 {
 		nTiles = ext
 	}
 	wfDim := WavefrontDim(nd)
-	halve := halveWavefrontDim && wfDim >= 0 && interior.Extent(wfDim) >= 2
+	chunks, halve := 1, false
+	if wfDim >= 0 {
+		switch wf := interior.Extent(wfDim); {
+		case halveWavefrontDim && wf >= 2:
+			chunks, halve = 2, true
+		case !halveWavefrontDim && ext >= 1 && wf >= 1:
+			chunks = (wf*nTiles + ext - 1) / ext
+		}
+	}
 
 	splits := make([][]int, nd)
 	slope := make([]int, nd)
@@ -274,8 +295,8 @@ func BuildSlabTiles(p *tiling.Problem, nTiles int, owners []int, seg int, halveW
 	}
 	counts[TilingDim] = nTiles
 	slope[TilingDim] = -s
-	if halve {
-		counts[wfDim] = 2
+	if wfDim >= 0 {
+		counts[wfDim] = chunks
 		slope[wfDim] = -s
 	}
 	for k := 0; k < nd; k++ {
@@ -284,26 +305,19 @@ func BuildSlabTiles(p *tiling.Problem, nTiles int, owners []int, seg int, halveW
 
 	var tiles []*spacetime.Tile
 	idx := make([]int, nd)
-	halves := 1
-	if halve {
-		halves = 2
-	}
-	for i := 0; i < nTiles; i++ {
-		for h := 0; h < halves; h++ {
-			for k := range idx {
-				idx[k] = 0
-			}
-			idx[TilingDim] = i
-			if halves == 2 {
-				idx[wfDim] = h
-			}
-			slabIndex := i*halves + h
-			owner := owners[slabIndex%len(owners)]
-			for t0 := 0; t0 < p.Timesteps; t0 += seg {
-				h1 := seg
-				if t0+h1 > p.Timesteps {
-					h1 = p.Timesteps - t0
+	for t0 := 0; t0 < p.Timesteps; t0 += seg {
+		h1 := min(seg, p.Timesteps-t0)
+		for c := 0; c < chunks; c++ {
+			for i := 0; i < nTiles; i++ {
+				idx[TilingDim] = i
+				if wfDim >= 0 {
+					idx[wfDim] = c
 				}
+				slab := i
+				if halve {
+					slab = 2*i + c
+				}
+				owner := owners[slab%len(owners)]
 				tile := &spacetime.Tile{T0: t0, Owner: owner, Node: p.NodeOfWorker(owner)}
 				for dt := 0; dt < h1; dt++ {
 					tile.Cross = append(tile.Cross,

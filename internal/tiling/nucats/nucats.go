@@ -45,8 +45,6 @@ type Plan struct {
 	// HalveWavefrontDim doubles the tile count by cutting the
 	// wavefront-traversal dimension in half (second-case fallback).
 	HalveWavefrontDim bool
-	// TilesPerWorker is the contiguous group size each worker owns.
-	TilesPerWorker int
 }
 
 // PlanTiles runs the tile-count adjustment for the problem.
@@ -88,15 +86,15 @@ func PlanTiles(p *tiling.Problem) Plan {
 			if n > ext {
 				n = ext
 			}
-			return Plan{Tiles: n, TilesPerWorker: maxInt(n/workers, 1)}
+			return Plan{Tiles: n}
 		}
 		half := workers / 2
 		if half > ext {
 			half = ext
 		}
-		return Plan{Tiles: half, HalveWavefrontDim: true, TilesPerWorker: 1}
+		return Plan{Tiles: half, HalveWavefrontDim: true}
 	}
-	return Plan{Tiles: n, TilesPerWorker: maxInt(n/workers, 1)}
+	return Plan{Tiles: n}
 }
 
 // heuristicMinWidth is the cache-parameter floor below which shrinking the
@@ -175,10 +173,3 @@ var (
 	_ tiling.Scheme    = (*Scheme)(nil)
 	_ tiling.Traverser = (*Scheme)(nil)
 )
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,10 +1,13 @@
 package nucats
 
 import (
+	"sort"
 	"testing"
 
 	"nustencil/internal/affinity"
+	"nustencil/internal/engine"
 	"nustencil/internal/grid"
+	"nustencil/internal/spacetime"
 	"nustencil/internal/stencil"
 	"nustencil/internal/tiling"
 	"nustencil/internal/tiling/cats"
@@ -88,7 +91,7 @@ func TestPlanCase2HalvesWavefrontDim(t *testing.T) {
 }
 
 func TestPlanOwnersContiguous(t *testing.T) {
-	pl := Plan{Tiles: 8, TilesPerWorker: 2}
+	pl := Plan{Tiles: 8}
 	owners := pl.Owners(4)
 	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	for i, w := range want {
@@ -104,24 +107,108 @@ func TestNuCATSOwnersAreContiguousGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sweep slabs left to right at t=0: owners must be non-decreasing
-	// (contiguous subdomain groups), unlike CATS' round robin.
-	lastLo, lastOwner := -1, 0
+	// Within each time segment and wavefront chunk, sweep the slabs left to
+	// right: owners must be non-decreasing (contiguous subdomain groups),
+	// unlike CATS' round robin.
+	type level struct{ t0, chunkLo int }
+	groups := map[level][]*spacetime.Tile{}
+	wf := cats.WavefrontDim(3)
 	for _, tile := range tiles {
-		if tile.T0 != 0 {
-			continue
-		}
-		lo := tile.At(0).Lo[cats.TilingDim]
-		if lo < lastLo {
-			t.Fatal("tiles not emitted left to right")
-		}
-		if lo > lastLo {
-			if tile.Owner < lastOwner {
-				t.Fatalf("owner %d after %d: not contiguous", tile.Owner, lastOwner)
+		l := level{tile.T0, tile.At(tile.T0).Lo[wf]}
+		groups[l] = append(groups[l], tile)
+	}
+	if len(groups) < 2 {
+		t.Fatalf("%d (segment, chunk) groups: plan not cut into wavefront chunks", len(groups))
+	}
+	for l, g := range groups {
+		sort.Slice(g, func(a, b int) bool {
+			return g[a].At(l.t0).Lo[cats.TilingDim] < g[b].At(l.t0).Lo[cats.TilingDim]
+		})
+		for k := 1; k < len(g); k++ {
+			if g[k].Owner < g[k-1].Owner {
+				t.Fatalf("segment %d chunk at %d: owner %d after %d: not contiguous",
+					l.t0, l.chunkLo, g[k].Owner, g[k-1].Owner)
 			}
-			lastLo, lastOwner = lo, tile.Owner
 		}
 	}
+}
+
+// TestNuCATSPipelineKeepsWorkersBusy list-schedules the large-7pt plan
+// (258³, 2 workers on 2 nodes, 16 steps, the default 1 MiB cache hint)
+// the way the engine runs it: each worker takes its lowest-ID ready tile,
+// and a tile costs its update count. Chunked slabs let the second worker
+// start one chunk after the first instead of one whole slab segment after
+// it, so the makespan stays close to half the total work.
+func TestNuCATSPipelineKeepsWorkersBusy(t *testing.T) {
+	const workers = 2
+	p := problem([]int{258, 258, 258}, workers, 16, 1<<20)
+	tiles, err := New().Tiles(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := engine.BuildDeps(tiles, 1, nil)
+	makespan, total := listSchedule(t, tiles, deps, workers)
+	ratio := float64(makespan) / (float64(total) / workers)
+	t.Logf("%d tiles: makespan / ideal = %.3f", len(tiles), ratio)
+	if ratio > 1.15 {
+		t.Errorf("makespan %.3f × the ideal %d updates per worker, want <= 1.15", ratio, total/workers)
+	}
+}
+
+// listSchedule simulates dependency-driven execution of tiles on workers:
+// each idle worker starts the lowest-ID ready tile it owns, and a tile
+// runs for Updates() time units. It returns the makespan and the summed
+// tile costs.
+func listSchedule(t *testing.T, tiles []*spacetime.Tile, deps [][]int, workers int) (makespan, total int64) {
+	t.Helper()
+	pending := make([]int, len(tiles))
+	dependents := make([][]int, len(tiles))
+	ready := make([]bool, len(tiles))
+	for i, ds := range deps {
+		pending[i] = len(ds)
+		ready[i] = len(ds) == 0
+		for _, j := range ds {
+			dependents[j] = append(dependents[j], i)
+		}
+		total += tiles[i].Updates()
+	}
+	running := make([]int, workers)
+	end := make([]int64, workers)
+	for w := range running {
+		running[w] = -1
+	}
+	var now int64
+	for done := 0; done < len(tiles); {
+		for w := range running {
+			if running[w] >= 0 {
+				continue
+			}
+			for i, r := range ready {
+				if r && tiles[i].Owner%workers == w {
+					ready[i], running[w], end[w] = false, i, now+tiles[i].Updates()
+					break
+				}
+			}
+		}
+		next := -1
+		for w, i := range running {
+			if i >= 0 && (next < 0 || end[w] < end[next]) {
+				next = w
+			}
+		}
+		if next < 0 {
+			t.Fatal("list schedule stalled: no tile ready or running")
+		}
+		i := running[next]
+		now, running[next] = end[next], -1
+		done++
+		for _, d := range dependents[i] {
+			if pending[d]--; pending[d] == 0 {
+				ready[d] = true
+			}
+		}
+	}
+	return now, total
 }
 
 func TestNuCATSDistributePlacesSlabsOnOwnerNodes(t *testing.T) {

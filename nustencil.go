@@ -207,6 +207,11 @@ type Report struct {
 	// Imbalance is max/mean of per-worker busy time (1.0 = perfectly
 	// balanced, 0 if nothing ran).
 	Imbalance float64
+	// Utilization is the workers' summed busy time over workers × Seconds:
+	// the share of the run's worker time spent executing tiles (1.0 = no
+	// worker ever waited). Imbalance compares totals and misses workers
+	// that idle in turns; Utilization does not.
+	Utilization float64
 	// Migrations counts chare migrations between ranks on a distributed
 	// run (Config.Ranks > 1); always 0 on the single-process path.
 	Migrations int64
@@ -232,6 +237,19 @@ func (r Report) Gupdates() float64 {
 
 // GFLOPS returns the achieved GFLOPS.
 func (r Report) GFLOPS() float64 { return r.Gupdates() * float64(r.FlopsPerUpdate) }
+
+// utilization returns the summed per-worker busy times over
+// len(busy) × seconds, or 0 when the run took no time.
+func utilization(busy []time.Duration, seconds float64) float64 {
+	if seconds <= 0 || len(busy) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, b := range busy {
+		sum += b
+	}
+	return sum.Seconds() / (float64(len(busy)) * seconds)
+}
 
 // plan is a cached tiling: the tiles of one (scheme, timesteps) instance
 // with IDs assigned, the dependency graph derived, and every tile's in-tile
@@ -604,6 +622,7 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 	rep.Tiles = len(tiles)
 	rep.UpdatesPerWorker = stats.UpdatesPerWorker
 	rep.Imbalance = stats.Imbalance()
+	rep.Utilization = utilization(stats.BusyPerWorker, rep.Seconds)
 	rep.Sched = schedCounters(stats.Sched)
 	var pc *PerfCounters
 	if cnt != nil {

@@ -70,6 +70,7 @@ type reportJSON struct {
 	GFLOPS           float64             `json:"gflops"`
 	FlopsPerUpdate   int                 `json:"flops_per_update"`
 	Imbalance        float64             `json:"imbalance"`
+	Utilization      float64             `json:"utilization"`
 	UpdatesPerWorker []int64             `json:"updates_per_worker,omitempty"`
 	Scheduler        []SchedulerCounters `json:"scheduler,omitempty"`
 	Migrations       int64               `json:"migrations,omitempty"`
@@ -89,6 +90,7 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		GFLOPS:           r.GFLOPS(),
 		FlopsPerUpdate:   r.FlopsPerUpdate,
 		Imbalance:        r.Imbalance,
+		Utilization:      r.Utilization,
 		UpdatesPerWorker: r.UpdatesPerWorker,
 		Scheduler:        r.Sched,
 		Migrations:       r.Migrations,
@@ -112,6 +114,7 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		Seconds:          w.Seconds,
 		FlopsPerUpdate:   w.FlopsPerUpdate,
 		Imbalance:        w.Imbalance,
+		Utilization:      w.Utilization,
 		UpdatesPerWorker: w.UpdatesPerWorker,
 		Sched:            w.Scheduler,
 		Migrations:       w.Migrations,

@@ -102,7 +102,7 @@ func TestStaticScheduleNoSchedCounters(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := Report{
 		Scheme: NuCORALS, Workers: 2, Timesteps: 10, Updates: 2e9,
-		Seconds: 1, Tiles: 42, FlopsPerUpdate: 13, Imbalance: 1.25,
+		Seconds: 1, Tiles: 42, FlopsPerUpdate: 13, Imbalance: 1.25, Utilization: 0.75,
 		UpdatesPerWorker: []int64{1e9, 1e9},
 		Sched: []SchedulerCounters{
 			{Parks: 3, Unparks: 5, OwnPops: 20, SharedPops: 1, EmptyPolls: 7},
@@ -113,7 +113,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"gupdates_per_s":2`, `"gflops":26`, `"own_pops":20`, `"scheme":"nuCORALS"`} {
+	for _, key := range []string{`"gupdates_per_s":2`, `"gflops":26`, `"own_pops":20`, `"scheme":"nuCORALS"`, `"utilization":0.75`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("report JSON missing %s: %s", key, data)
 		}
@@ -122,11 +122,45 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Updates != rep.Updates || back.Tiles != rep.Tiles || back.Gupdates() != rep.Gupdates() {
+	if back.Updates != rep.Updates || back.Tiles != rep.Tiles || back.Gupdates() != rep.Gupdates() ||
+		back.Utilization != rep.Utilization {
 		t.Errorf("round trip changed the report: %+v", back)
 	}
 	if len(back.Sched) != 2 || back.Sched[0] != rep.Sched[0] {
 		t.Errorf("scheduler counters lost: %+v", back.Sched)
+	}
+}
+
+// Report.Utilization, on the single-process and the distributed path, is a
+// share of the run's worker time in (0, 1] and survives the JSON wire form.
+func TestReportUtilization(t *testing.T) {
+	for _, cfg := range []Config{
+		{Dims: []int{26, 26, 26}, Scheme: NuCATS, Workers: 2},
+		{Dims: []int{26, 26, 26}, Scheme: Naive, Workers: 2, Ranks: 2, ChareFactor: 2},
+	} {
+		s, err := NewSolver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Execute(nil, RunSpec{Timesteps: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := out.Report
+		if rep.Utilization <= 0 || rep.Utilization > 1 {
+			t.Errorf("ranks=%d: utilization %v outside (0, 1]", cfg.Ranks, rep.Utilization)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Report
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Utilization != rep.Utilization {
+			t.Errorf("ranks=%d: utilization %v came back as %v", cfg.Ranks, rep.Utilization, back.Utilization)
+		}
 	}
 }
 

@@ -5,27 +5,38 @@ import (
 )
 
 // The static spin-flag schedule produces the same results as the
-// dependency-driven scheduler through the public API.
+// dependency-driven scheduler through the public API. A small cache hint
+// cuts nuCATS' slabs into wavefront chunks, so the chunked plan's emission
+// order is run as a static schedule too.
 func TestStaticScheduleAgrees(t *testing.T) {
 	probe := []int{6, 6, 6}
-	run := func(static bool, scheme SchemeName) float64 {
+	run := func(static bool, scheme SchemeName, llc int64) (float64, int) {
 		s, err := NewSolver(Config{
 			Dims: []int{13, 13, 13}, Timesteps: 6, Scheme: scheme,
-			Workers: 3, StaticSchedule: static,
+			Workers: 3, StaticSchedule: static, LLCBytesPerWorker: llc,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.SetInitial(func(pt []int) float64 { return float64(pt[0]*2 - pt[1] + pt[2]%3) })
-		if _, err := s.Run(); err != nil {
+		rep, err := s.Run()
+		if err != nil {
 			t.Fatalf("static=%v %s: %v", static, scheme, err)
 		}
-		return s.Value(probe)
+		return s.Value(probe), rep.Tiles
 	}
-	for _, scheme := range []SchemeName{Naive, NuCATS, NuCORALS, CATS, PLuTo} {
-		a, b := run(false, scheme), run(true, scheme)
+	for _, c := range []struct {
+		scheme SchemeName
+		llc    int64 // 0 takes the default
+	}{{Naive, 0}, {NuCATS, 0}, {NuCATS, 4 << 10}, {NuCORALS, 0}, {CATS, 0}, {PLuTo, 0}} {
+		a, _ := run(false, c.scheme, c.llc)
+		b, tiles := run(true, c.scheme, c.llc)
 		if a != b {
-			t.Errorf("%s: static %v != scheduled %v", scheme, b, a)
+			t.Errorf("%s llc=%d: static %v != scheduled %v", c.scheme, c.llc, b, a)
+		}
+		// 3 slabs × 2 segments unchunked; chunks multiply the count.
+		if c.llc != 0 && tiles <= 6 {
+			t.Errorf("%s llc=%d: %d tiles, want a chunked plan", c.scheme, c.llc, tiles)
 		}
 	}
 }
