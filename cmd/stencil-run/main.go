@@ -140,6 +140,7 @@ func realMain(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "scheme     %s\n", rep.Scheme)
 	fmt.Fprintf(stdout, "domain     %s, %d timesteps, order %d, banded=%v\n", *dims, *steps, *order, *banded)
 	fmt.Fprintf(stdout, "workers    %d\n", rep.Workers)
+	fmt.Fprintf(stdout, "kernel     %s\n", rep.Kernel)
 	if *ranks > 1 {
 		fmt.Fprintf(stdout, "ranks      %d (distributed halo exchange)\n", *ranks)
 	}

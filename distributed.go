@@ -107,6 +107,7 @@ func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (
 	rep.UpdatesPerWorker = res.UpdatesPerWorker
 	rep.Imbalance = engine.Imbalance(res.BusyPerWorker)
 	rep.Utilization = utilization(res.BusyPerWorker, rep.Seconds)
+	rep.Kernel = s.op.Kernel()
 	rep.Migrations = res.Migrations
 	rep.Dist = &DistStats{
 		Ranks:          cfg.Ranks,

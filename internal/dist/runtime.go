@@ -378,6 +378,14 @@ func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
 		res.Net = rt.tr.Stats()
 		return res, nil
 	}
+	// An already-cancelled context refuses the run here, as the engine
+	// does: the watcher below may be scheduled only after a short run has
+	// finished.
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+	}
 
 	var recvWG sync.WaitGroup
 	for _, r := range rt.ranks {

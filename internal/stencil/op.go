@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nustencil/internal/grid"
+	"nustencil/internal/vec"
 )
 
 // Op binds a stencil to a grid (and coefficients, for banded stencils) and
@@ -16,9 +17,9 @@ import (
 //
 // The kernels are written for the memory-bound regime the paper measures:
 // rows are walked with grid.RowIter (no per-row closure dispatch, no
-// allocation), neighbour accesses go through pre-sliced rows so the compiler
-// can eliminate bounds checks, and the optional source term is fused into
-// the update loops instead of a second traversal of dst.
+// allocation), every row a kernel touches is sliced to the row's extent
+// before its loop runs, and the constant-coefficient row loops run as AVX2
+// assembly where the CPU has it (internal/vec).
 type Op struct {
 	St *Stencil
 	G  *grid.Grid
@@ -139,129 +140,130 @@ func flatOffsets(s *Stencil, g *grid.Grid) []int {
 func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 	src := op.G.Buf(t)
 	dst := op.G.Buf(t + 1)
-	if op.G.NumDims() > grid.MaxRowDims {
-		return op.applySlow(b, src, dst)
-	}
 	switch {
+	case op.G.NumDims() > grid.MaxRowDims:
+		return op.applySlow(b, src, dst)
 	case op.periodic:
 		return op.applyPeriodic(b, src, dst)
-	case op.banded7:
-		return op.applyBanded7pt(b, src, dst)
-	case op.vc != nil:
-		return op.applyBanded(b, src, dst)
-	case op.is7pt:
-		return op.apply7pt(b, src, dst)
-	default:
-		return op.applyGeneric(b, src, dst)
 	}
+	var updates int64
+	for it := op.G.RowsIn(b, op.update); it.Next(); {
+		op.row(src, dst, it.Offset(), it.Length())
+		updates += int64(it.Length())
+	}
+	return updates
+}
+
+// row updates the n unit-stride cells at flat offset off with the kernel
+// that fits the stencil.
+func (op *Op) row(src, dst []float64, off, n int) {
+	switch {
+	case op.banded7:
+		op.rowBanded7(src, dst, off, n)
+	case op.vc != nil:
+		op.rowBanded(src, dst, off, n)
+	case op.is7pt:
+		op.row7pt(src, dst, off, n)
+	default:
+		op.rowGeneric(src, dst, off, n)
+	}
+}
+
+// The constant-coefficient row kernels slice every row they read or write
+// to the row's extent, let the internal/vec assembly compute a vector
+// prefix of the row, and finish it with a Go loop. Each Go loop is also the
+// reference its assembly routine matches bit for bit, and, without AVX2,
+// the whole kernel. The loops take the cell k to start from and sum in
+// point order, like every other kernel here.
+
+// Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
+// through the internal/vec assembly, "go" when the Go loops run alone: on a
+// host without AVX2, for banded stencils, and on grids beyond
+// grid.MaxRowDims. Periodic seam rows take the Go modular-indexing path
+// either way.
+func (op *Op) Kernel() string {
+	if op.vc != nil || op.G.NumDims() > grid.MaxRowDims {
+		return "go"
+	}
+	return vec.Kernel()
 }
 
 // row7pt is the specialized 3D 7-point constant row kernel (the paper's
 // model problem, equation (1)): 7 multiplications, 6 additions per update.
-// Neighbour planes are pre-sliced to row extent so the inner loop runs
-// without bounds checks; the source term, when present, is fused into the
-// same expression.
 func (op *Op) row7pt(src, dst []float64, off, n int) {
-	c := op.coeffs
-	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-	o1, o2, o3, o4 := op.offs[1], op.offs[2], op.offs[3], op.offs[4]
+	c := (*[7]float64)(op.coeffs)
 	d := dst[off : off+n : off+n]
-	s0 := src[off : off+n]
-	// The two-step re-slice ([off+oK:][:n]) gives the prove pass a direct
-	// len == n fact for the variable-offset planes, eliminating the per-point
-	// bounds checks the single slice expression leaves behind (verify with
-	// -gcflags=-d=ssa/check_bce: no IsInBounds inside the k loops).
-	s1 := src[off+o1:][:n]
-	s2 := src[off+o2:][:n]
-	s3 := src[off+o3:][:n]
-	s4 := src[off+o4:][:n]
-	sm := src[off-1 : off-1+n]
-	sp := src[off+1 : off+1+n]
-	if g := op.source; g != nil {
-		gg := g[off : off+n]
-		for k := range d {
-			d[k] = c0*s0[k] +
-				c1*s1[k] + c2*s2[k] +
-				c3*s3[k] + c4*s4[k] +
-				c5*sm[k] + c6*sp[k] + gg[k]
-		}
-		return
+	o := op.offs
+	// These slices are the bounds checks for the assembly, which reads n
+	// cells of each row; offs[5] and offs[6] are -1 and +1.
+	s := [7][]float64{
+		src[off : off+n],
+		src[off+o[1]:][:n], src[off+o[2]:][:n],
+		src[off+o[3]:][:n], src[off+o[4]:][:n],
+		src[off-1 : off-1+n], src[off+1 : off+1+n],
 	}
-	for k := range d {
-		d[k] = c0*s0[k] +
-			c1*s1[k] + c2*s2[k] +
-			c3*s3[k] + c4*s4[k] +
-			c5*sm[k] + c6*sp[k]
-	}
+	star7(vec.Star7(d, &s, c), d, &s, c)
+	op.addSource(d, off)
 }
 
-// apply7pt iterates the rows with every loop-invariant (coefficients,
-// neighbour offsets, source) hoisted out of the row loop; the body matches
-// row7pt, which the periodic path reuses per row.
-func (op *Op) apply7pt(b grid.Box, src, dst []float64) int64 {
-	c := op.coeffs
+// star7 sets d[i] = c[0]·s[0][i] + … + c[6]·s[6][i] for i ≥ k (vec.Star7).
+// Every row is re-sliced to len(d), so the loop runs without bounds checks
+// (verify with -gcflags=-d=ssa/check_bce).
+func star7(k int, d []float64, s *[7][]float64, c *[7]float64) {
+	d = d[k:]
+	n := len(d)
+	s0, s1, s2, s3 := s[0][k:][:n], s[1][k:][:n], s[2][k:][:n], s[3][k:][:n]
+	s4, s5, s6 := s[4][k:][:n], s[5][k:][:n], s[6][k:][:n]
 	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-	o1, o2, o3, o4 := op.offs[1], op.offs[2], op.offs[3], op.offs[4]
-	g := op.source
-	var updates int64
-	for it := op.G.RowsIn(b, op.update); it.Next(); {
-		off, n := it.Offset(), it.Length()
-		updates += int64(n)
-		d := dst[off : off+n : off+n]
-		s0 := src[off : off+n]
-		s1 := src[off+o1:][:n]
-		s2 := src[off+o2:][:n]
-		s3 := src[off+o3:][:n]
-		s4 := src[off+o4:][:n]
-		sm := src[off-1 : off-1+n]
-		sp := src[off+1 : off+1+n]
-		if g != nil {
-			gg := g[off : off+n]
-			for k := range d {
-				d[k] = c0*s0[k] +
-					c1*s1[k] + c2*s2[k] +
-					c3*s3[k] + c4*s4[k] +
-					c5*sm[k] + c6*sp[k] + gg[k]
-			}
-			continue
-		}
-		for k := range d {
-			d[k] = c0*s0[k] +
-				c1*s1[k] + c2*s2[k] +
-				c3*s3[k] + c4*s4[k] +
-				c5*sm[k] + c6*sp[k]
-		}
+	for i := range d {
+		d[i] = c0*s0[i] +
+			c1*s1[i] + c2*s2[i] +
+			c3*s3[i] + c4*s4[i] +
+			c5*s5[i] + c6*s6[i]
 	}
-	return updates
 }
 
-// rowGeneric handles any dimension and order with constant coefficients.
+// rowGeneric handles any dimension and order with constant coefficients,
+// one point at a time: d = c0·s0, then d += cp·sp for each further point,
+// so every cell still sums its points in point order.
 func (op *Op) rowGeneric(src, dst []float64, off, n int) {
 	offs, cs := op.offs, op.coeffs
-	np := len(offs)
-	for i := off; i < off+n; i++ {
-		acc := cs[0] * src[i]
-		for p := 1; p < np; p++ {
-			acc += cs[p] * src[i+offs[p]]
-		}
-		dst[i] = acc
+	d := dst[off : off+n : off+n]
+	s := src[off+offs[0]:][:n]
+	mul(vec.Mul(d, s, cs[0]), d, s, cs[0])
+	for p := 1; p < len(offs); p++ {
+		s := src[off+offs[p]:][:n]
+		mulAdd(vec.MulAdd(d, s, cs[p]), d, s, cs[p])
 	}
+	op.addSource(d, off)
+}
+
+// addSource adds the source term, when there is one, to the row d at flat
+// offset off. 1·g[i] is g[i] exactly, so MulAdd with a coefficient of 1
+// adds it, as a sum ending in + g[i] would.
+func (op *Op) addSource(d []float64, off int) {
 	if g := op.source; g != nil {
-		for i := off; i < off+n; i++ {
-			dst[i] += g[i]
-		}
+		g = g[off : off+len(d)]
+		mulAdd(vec.MulAdd(d, g, 1), d, g, 1)
 	}
 }
 
-// applyGeneric walks the box row by row with the allocation-free iterator
-// and hands each unit-stride run to the direct-indexing row kernel.
-func (op *Op) applyGeneric(b grid.Box, src, dst []float64) int64 {
-	var updates int64
-	for it := op.G.RowsIn(b, op.update); it.Next(); {
-		op.rowGeneric(src, dst, it.Offset(), it.Length())
-		updates += int64(it.Length())
+// mul sets d[i] = c·s[i] for i ≥ k (vec.Mul).
+func mul(k int, d, s []float64, c float64) {
+	d = d[k:]
+	s = s[k:][:len(d)]
+	for i := range d {
+		d[i] = c * s[i]
 	}
-	return updates
+}
+
+// mulAdd sets d[i] = d[i] + c·s[i] for i ≥ k (vec.MulAdd).
+func mulAdd(k int, d, s []float64, c float64) {
+	d = d[k:]
+	s = s[k:][:len(d)]
+	for i := range d {
+		d[i] += c * s[i]
+	}
 }
 
 // rowBanded handles variable coefficients: the banded matrix-vector product
@@ -284,19 +286,10 @@ func (op *Op) rowBanded(src, dst []float64, off, n int) {
 	}
 }
 
-// applyBanded mirrors applyGeneric for variable coefficients.
-func (op *Op) applyBanded(b grid.Box, src, dst []float64) int64 {
-	var updates int64
-	for it := op.G.RowsIn(b, op.update); it.Next(); {
-		op.rowBanded(src, dst, it.Offset(), it.Length())
-		updates += int64(it.Length())
-	}
-	return updates
-}
-
 // rowBanded7 is the specialized 3D 7-point banded row kernel: the unrolled
 // form of rowBanded for the first-order star, with all seven coefficient
-// bands and neighbour planes pre-sliced to row extent.
+// bands and neighbour planes pre-sliced to row extent. Like rowBanded, it
+// has no vector form.
 func (op *Op) rowBanded7(src, dst []float64, off, n int) {
 	data := op.vc.Data
 	o1, o2, o3, o4 := op.offs[1], op.offs[2], op.offs[3], op.offs[4]
@@ -333,15 +326,6 @@ func (op *Op) rowBanded7(src, dst []float64, off, n int) {
 	}
 }
 
-func (op *Op) applyBanded7pt(b grid.Box, src, dst []float64) int64 {
-	var updates int64
-	for it := op.G.RowsIn(b, op.update); it.Next(); {
-		op.rowBanded7(src, dst, it.Offset(), it.Length())
-		updates += int64(it.Length())
-	}
-	return updates
-}
-
 // applyPeriodic handles wrapped boundaries: rows out of reach of every seam
 // use the fast row kernels directly (no per-row box construction); seam rows
 // compute wrapped neighbour indices per point. The coordinate scratch lives
@@ -368,16 +352,7 @@ func (op *Op) applyPeriodic(b grid.Box, src, dst []float64) int64 {
 			}
 		}
 		if interior {
-			switch {
-			case op.banded7:
-				op.rowBanded7(src, dst, off, n)
-			case op.vc != nil:
-				op.rowBanded(src, dst, off, n)
-			case op.is7pt:
-				op.row7pt(src, dst, off, n)
-			default:
-				op.rowGeneric(src, dst, off, n)
-			}
+			op.row(src, dst, off, n)
 			continue
 		}
 		gsrc := op.source

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,71 +104,86 @@ func randomGrid(r *rand.Rand, dims []int) *grid.Grid {
 	return g
 }
 
+// oracleMismatch applies op to box at timestep 0 and checks every cell of
+// buffer 1: inside the box against naiveUpdate plus the source term, if
+// any, with ==, since every kernel sums a cell's points in point order as
+// the oracle does and adds the source last; outside it against the
+// sentinel the buffer was filled with. It describes the first mismatch, or
+// returns "".
+func oracleMismatch(op *Op, c *Coefficients, box grid.Box) string {
+	const sentinel = -1234.5
+	g := op.G
+	g.Fill(1, sentinel)
+	if n := op.ApplyBox(box, 0); n != box.Size() {
+		return fmt.Sprintf("box %v: %d updates, want %d", box, n, box.Size())
+	}
+	pt := make([]int, g.NumDims())
+	for i := 0; i < g.Len(); i++ {
+		g.Coords(i, pt)
+		want := sentinel
+		if box.Contains(pt) {
+			want = naiveUpdate(op.St, g, c, pt, 0)
+			if op.source != nil {
+				want += op.source[i]
+			}
+		}
+		if got := g.Buf(1)[i]; got != want {
+			return fmt.Sprintf("box %v at %v: got %v want %v", box, pt, got, want)
+		}
+	}
+	return ""
+}
+
+// checkRowsAgainstOracle runs oracleMismatch on sub-boxes of the interior
+// that keep its full extent in the outer dimensions and span 1 to 130 cells
+// of the unit-stride one, starting at each of its first four columns: every
+// row length mod 4 and every start residue mod 4, so both the vector
+// prefix and the Go tail run. It does so without and then with a source
+// term.
+func checkRowsAgainstOracle(t *testing.T, op *Op, c *Coefficients) {
+	t.Helper()
+	src := make([]float64, op.G.Len())
+	for i := range src {
+		src[i] = math.Sin(float64(i))
+	}
+	defer op.SetSource(nil)
+	interior := op.G.Interior(op.St.Order)
+	last := interior.NumDims() - 1
+	for _, g := range [][]float64{nil, src} {
+		op.SetSource(g)
+		for lo := interior.Lo[last]; lo < interior.Lo[last]+4; lo++ {
+			for n := 1; n <= 130 && lo+n <= interior.Hi[last]; n++ {
+				box := interior.Clone()
+				box.Lo[last], box.Hi[last] = lo, lo+n
+				if msg := oracleMismatch(op, c, box); msg != "" {
+					t.Fatalf("source %v: %s", g != nil, msg)
+				}
+			}
+		}
+	}
+}
+
 func TestApply7ptMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s := NewStarWithCoeffs(3, 1, []float64{0.4, 0.1, 0.05, 0.15, 0.1, 0.12, 0.08})
-	g := randomGrid(r, []int{6, 7, 8})
-	op := NewOp(s, g)
-	interior := g.Interior(1)
-	if n := op.ApplyBox(interior, 0); n != interior.Size() {
-		t.Fatalf("updates = %d, want %d", n, interior.Size())
-	}
-	pt := make([]int, 3)
-	g.ForEachRow(interior, func(off, length int, start []int) {
-		copy(pt, start)
-		for i := 0; i < length; i++ {
-			pt[2] = start[2] + i
-			want := naiveUpdate(s, g, nil, pt, 0)
-			got := g.At(1, pt)
-			if math.Abs(got-want) > 1e-13 {
-				t.Fatalf("at %v: got %v want %v", pt, got, want)
-			}
-		}
-	})
+	checkRowsAgainstOracle(t, NewOp(s, randomGrid(r, []int{4, 4, 135})), nil)
 }
 
 func TestApplyGenericMatchesOracleHighOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, order := range []int{2, 3} {
-		s := NewStar(3, order)
-		g := randomGrid(r, []int{2*order + 4, 2*order + 5, 2*order + 6})
-		op := NewOp(s, g)
-		interior := g.Interior(order)
-		op.ApplyBox(interior, 0)
-		pt := make([]int, 3)
-		g.ForEachRow(interior, func(off, length int, start []int) {
-			copy(pt, start)
-			for i := 0; i < length; i++ {
-				pt[2] = start[2] + i
-				want := naiveUpdate(s, g, nil, pt, 0)
-				if got := g.At(1, pt); math.Abs(got-want) > 1e-13 {
-					t.Fatalf("order %d at %v: got %v want %v", order, pt, got, want)
-				}
-			}
-		})
+		g := randomGrid(r, []int{2*order + 2, 2*order + 1, 2*order + 133})
+		checkRowsAgainstOracle(t, NewOp(NewStar(3, order), g), nil)
 	}
 }
 
 func TestApplyBandedMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := NewBandedStar(3, 1)
-	g := randomGrid(r, []int{5, 6, 7})
+	g := randomGrid(r, []int{4, 3, 135})
 	c := NewCoefficients(s, g)
 	c.FillFunc(func(p, idx int) float64 { return r.Float64() })
-	op := NewBandedOp(s, g, c)
-	interior := g.Interior(1)
-	op.ApplyBox(interior, 0)
-	pt := make([]int, 3)
-	g.ForEachRow(interior, func(off, length int, start []int) {
-		copy(pt, start)
-		for i := 0; i < length; i++ {
-			pt[2] = start[2] + i
-			want := naiveUpdate(s, g, c, pt, 0)
-			if got := g.At(1, pt); math.Abs(got-want) > 1e-13 {
-				t.Fatalf("at %v: got %v want %v", pt, got, want)
-			}
-		}
-	})
+	checkRowsAgainstOracle(t, NewBandedOp(s, g, c), c)
 }
 
 func TestApplyBoxClipsToInterior(t *testing.T) {
@@ -211,8 +227,9 @@ func TestApplyParityAlternation(t *testing.T) {
 	}
 }
 
-// Property: for random shapes and orders, the generic kernel agrees with
-// the point oracle at a random interior point.
+// Property: for random shapes and orders, with a unit-stride interior of
+// 1 to 130 cells, the generic kernel matches the point oracle exactly on a
+// random sub-box.
 func TestGenericKernelProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -220,19 +237,21 @@ func TestGenericKernelProperty(t *testing.T) {
 		order := 1 + r.Intn(2)
 		dims := make([]int, nd)
 		for k := range dims {
-			dims[k] = 2*order + 2 + r.Intn(4)
+			dims[k] = 2*order + 1 + r.Intn(3)
 		}
+		dims[nd-1] = 2*order + 1 + r.Intn(130)
 		g := randomGrid(r, dims)
-		s := NewStar(nd, order)
-		op := NewOp(s, g)
-		interior := g.Interior(order)
-		op.ApplyBox(interior, 0)
-		pt := make([]int, nd)
-		for k := range pt {
-			pt[k] = interior.Lo[k] + r.Intn(interior.Hi[k]-interior.Lo[k])
+		op := NewOp(NewStar(nd, order), g)
+		box := g.Interior(order)
+		for k := range box.Lo {
+			box.Lo[k] += r.Intn(box.Extent(k))
+			box.Hi[k] = box.Lo[k] + 1 + r.Intn(box.Hi[k]-box.Lo[k])
 		}
-		want := naiveUpdate(s, g, nil, pt, 0)
-		return math.Abs(g.At(1, pt)-want) <= 1e-13
+		if msg := oracleMismatch(op, nil, box); msg != "" {
+			t.Logf("seed %d, dims %v, order %d: %s", seed, dims, order, msg)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"nustencil/internal/vec"
 )
 
 // Result is one kernel's measured bandwidth.
@@ -145,8 +147,12 @@ func Copy(cfg Config) Result {
 }
 
 // PeakDP measures the double-precision multiply-add peak of n workers with
-// a register-resident independent-FMA loop, Section IV-A's PeakDP
-// methodology. It returns GFLOPS.
+// a register-resident loop of independent multiplies and adds, Section
+// IV-A's PeakDP methodology. It runs the widest loop the stencil kernels
+// use: with AVX2, vec.PeakLoop's 12 four-wide registers, so the measured
+// roof is the one the vector kernels can reach; otherwise eight scalar
+// chains. Neither loop fuses a multiply and an add, as the kernels do not.
+// It returns GFLOPS.
 func PeakDP(workers int, duration time.Duration) float64 {
 	if workers <= 0 {
 		workers = 1
@@ -155,14 +161,14 @@ func PeakDP(workers int, duration time.Duration) float64 {
 		duration = 50 * time.Millisecond
 	}
 	// Calibrate iterations to the requested duration on one worker.
-	const flopsPerIter = 16 // 8 independent accumulators × (mul+add)
 	iters := int64(1 << 20)
 	// Each worker stores its loop's result in its own slot, so the compiler
 	// keeps the loops and the workers share no memory.
 	sums := make([]float64, workers)
+	var flopsPerIter int
 	for {
 		t := time.Now()
-		sums[0] = fmaLoop(iters)
+		sums[0], flopsPerIter = mulAddLoop(iters)
 		if d := time.Since(t); d >= duration/4 {
 			iters = int64(float64(iters) * duration.Seconds() / d.Seconds())
 			if iters < 1 {
@@ -178,29 +184,50 @@ func PeakDP(workers int, duration time.Duration) float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sums[w] = fmaLoop(iters)
+			sums[w], _ = mulAddLoop(iters)
 		}()
 	}
 	wg.Wait()
 	sec := time.Since(start).Seconds()
-	return float64(iters) * flopsPerIter * float64(workers) / sec / 1e9
+	return float64(iters) * float64(flopsPerIter) * float64(workers) / sec / 1e9
 }
 
-// fmaLoop runs iters rounds of eight independent multiply-adds and returns
-// their sum.
-func fmaLoop(iters int64) float64 {
-	a0, a1, a2, a3 := 1.0, 1.1, 1.2, 1.3
-	a4, a5, a6, a7 := 1.4, 1.5, 1.6, 1.7
-	const m, c = 0.999999999, 1e-9
+// The chains of both loops run x = x·m + c from x = chainStart(i).
+const peakM, peakC = 0.999999999, 1e-9
+
+func chainStart(i int) float64 { return 1 + float64(i)/64 }
+
+// mulAddLoop runs iters rounds of every chain and returns the chains' sum,
+// in chain order, and the flops per round: vec.PeakLoop's 48 chains with
+// AVX2, otherwise eight scalar ones.
+func mulAddLoop(iters int64) (sum float64, flopsPerIter int) {
+	var a [vec.PeakLanes]float64
+	for i := range a {
+		a[i] = chainStart(i)
+	}
+	if !vec.PeakLoop(&a, peakM, peakC, iters) {
+		return scalarLoop(iters), 16
+	}
+	for _, x := range a {
+		sum += x
+	}
+	return sum, 2 * len(a)
+}
+
+// scalarLoop runs iters rounds of eight independent chains, a multiply then
+// an add each, and returns their sum.
+func scalarLoop(iters int64) float64 {
+	a0, a1, a2, a3 := chainStart(0), chainStart(1), chainStart(2), chainStart(3)
+	a4, a5, a6, a7 := chainStart(4), chainStart(5), chainStart(6), chainStart(7)
 	for i := int64(0); i < iters; i++ {
-		a0 = a0*m + c
-		a1 = a1*m + c
-		a2 = a2*m + c
-		a3 = a3*m + c
-		a4 = a4*m + c
-		a5 = a5*m + c
-		a6 = a6*m + c
-		a7 = a7*m + c
+		a0 = a0*peakM + peakC
+		a1 = a1*peakM + peakC
+		a2 = a2*peakM + peakC
+		a3 = a3*peakM + peakC
+		a4 = a4*peakM + peakC
+		a5 = a5*peakM + peakC
+		a6 = a6*peakM + peakC
+		a7 = a7*peakM + peakC
 	}
 	return a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
 }

@@ -3,6 +3,8 @@ package stream
 import (
 	"testing"
 	"time"
+
+	"nustencil/internal/vec"
 )
 
 func TestMeasureReturnsAllKernels(t *testing.T) {
@@ -60,5 +62,35 @@ func TestPeakDP(t *testing.T) {
 	// state.
 	if g4 := PeakDP(4, 2*time.Millisecond); g4 <= 0 {
 		t.Errorf("4-worker PeakDP = %v", g4)
+	}
+}
+
+// The peak loops return their chains' sum, which must equal the same chains
+// computed here one at a time, bit for bit: the vector loop keeps each
+// multiply and add apart and in order, as the Go expression does.
+func TestPeakLoopValues(t *testing.T) {
+	chainSum := func(chains int, iters int64) float64 {
+		sum := 0.0
+		for i := 0; i < chains; i++ {
+			x := chainStart(i)
+			for j := int64(0); j < iters; j++ {
+				x = x*peakM + peakC
+			}
+			sum += x
+		}
+		return sum
+	}
+	// 1<<16 + 3 rounds cross the slices vec.PeakLoop cuts a long run into.
+	for _, iters := range []int64{0, 1, 2, 999, 1<<16 + 3} {
+		sum, flops := mulAddLoop(iters)
+		if want := chainSum(flops/2, iters); sum != want {
+			t.Errorf("mulAddLoop(%d) = %v, want %v", iters, sum, want)
+		}
+		if want := chainSum(8, iters); scalarLoop(iters) != want {
+			t.Errorf("scalarLoop(%d) = %v, want %v", iters, scalarLoop(iters), want)
+		}
+	}
+	if _, flops := mulAddLoop(1); vec.Kernel() == "avx2" && flops != 2*vec.PeakLanes {
+		t.Errorf("with AVX2 the loop does %d flops per round, want %d", flops, 2*vec.PeakLanes)
 	}
 }

@@ -1,0 +1,20 @@
+package vec
+
+// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers. It is probed once, at package initialization.
+var hasAVX2 = cpuHasAVX2()
+
+// cpuHasAVX2 checks CPUID and XGETBV (vec_amd64.s).
+func cpuHasAVX2() bool
+
+//go:noescape
+func star7(d []float64, s *[7][]float64, c *[7]float64) int
+
+//go:noescape
+func mul(d, s []float64, c float64) int
+
+//go:noescape
+func mulAdd(d, s []float64, c float64) int
+
+//go:noescape
+func peakLoop(a *[PeakLanes]float64, m, c float64, iters int64)

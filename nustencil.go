@@ -221,6 +221,11 @@ type Report struct {
 	Dist *DistStats
 	// FlopsPerUpdate converts updates to flops.
 	FlopsPerUpdate int
+	// Kernel names the row kernel that ran: "avx2" for the vector
+	// assembly, "go" for the Go loops alone (no AVX2 or not amd64, a
+	// banded stencil, or more than grid.MaxRowDims dimensions). A rate
+	// compared across hosts means little unless the kernel is known.
+	Kernel string
 	// Sched carries per-worker scheduler counters for dependency-scheduled
 	// runs (parks, wakeups issued, queue pops, empty polls); nil under
 	// Config.StaticSchedule, whose executor has no queues or parkers.
@@ -623,6 +628,7 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 	rep.UpdatesPerWorker = stats.UpdatesPerWorker
 	rep.Imbalance = stats.Imbalance()
 	rep.Utilization = utilization(stats.BusyPerWorker, rep.Seconds)
+	rep.Kernel = s.op.Kernel()
 	rep.Sched = schedCounters(stats.Sched)
 	var pc *PerfCounters
 	if cnt != nil {

@@ -71,6 +71,7 @@ type reportJSON struct {
 	FlopsPerUpdate   int                 `json:"flops_per_update"`
 	Imbalance        float64             `json:"imbalance"`
 	Utilization      float64             `json:"utilization"`
+	Kernel           string              `json:"kernel"`
 	UpdatesPerWorker []int64             `json:"updates_per_worker,omitempty"`
 	Scheduler        []SchedulerCounters `json:"scheduler,omitempty"`
 	Migrations       int64               `json:"migrations,omitempty"`
@@ -91,6 +92,7 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		FlopsPerUpdate:   r.FlopsPerUpdate,
 		Imbalance:        r.Imbalance,
 		Utilization:      r.Utilization,
+		Kernel:           r.Kernel,
 		UpdatesPerWorker: r.UpdatesPerWorker,
 		Scheduler:        r.Sched,
 		Migrations:       r.Migrations,
@@ -115,6 +117,7 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		FlopsPerUpdate:   w.FlopsPerUpdate,
 		Imbalance:        w.Imbalance,
 		Utilization:      w.Utilization,
+		Kernel:           w.Kernel,
 		UpdatesPerWorker: w.UpdatesPerWorker,
 		Sched:            w.Scheduler,
 		Migrations:       w.Migrations,

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nustencil/internal/vec"
 )
 
 // TestRunStepsTraceExport exercises the public observability surface: a
@@ -101,7 +103,7 @@ func TestStaticScheduleNoSchedCounters(t *testing.T) {
 // present on the wire, base fields preserved through a round trip.
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := Report{
-		Scheme: NuCORALS, Workers: 2, Timesteps: 10, Updates: 2e9,
+		Scheme: NuCORALS, Workers: 2, Timesteps: 10, Updates: 2e9, Kernel: "avx2",
 		Seconds: 1, Tiles: 42, FlopsPerUpdate: 13, Imbalance: 1.25, Utilization: 0.75,
 		UpdatesPerWorker: []int64{1e9, 1e9},
 		Sched: []SchedulerCounters{
@@ -113,7 +115,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"gupdates_per_s":2`, `"gflops":26`, `"own_pops":20`, `"scheme":"nuCORALS"`, `"utilization":0.75`} {
+	for _, key := range []string{`"gupdates_per_s":2`, `"gflops":26`, `"own_pops":20`, `"scheme":"nuCORALS"`, `"utilization":0.75`, `"kernel":"avx2"`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("report JSON missing %s: %s", key, data)
 		}
@@ -123,7 +125,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Updates != rep.Updates || back.Tiles != rep.Tiles || back.Gupdates() != rep.Gupdates() ||
-		back.Utilization != rep.Utilization {
+		back.Utilization != rep.Utilization || back.Kernel != rep.Kernel {
 		t.Errorf("round trip changed the report: %+v", back)
 	}
 	if len(back.Sched) != 2 || back.Sched[0] != rep.Sched[0] {
@@ -160,6 +162,31 @@ func TestReportUtilization(t *testing.T) {
 		}
 		if back.Utilization != rep.Utilization {
 			t.Errorf("ranks=%d: utilization %v came back as %v", cfg.Ranks, rep.Utilization, back.Utilization)
+		}
+	}
+}
+
+// Report.Kernel names the row kernel that ran, on the single-process and
+// the distributed path: the vector kernel where the host has it, the Go
+// loops for banded stencils, which have no vector form.
+func TestReportKernel(t *testing.T) {
+	for _, banded := range []bool{false, true} {
+		want := vec.Kernel()
+		if banded {
+			want = "go"
+		}
+		for _, ranks := range []int{1, 2} {
+			s, err := NewSolver(Config{Dims: []int{14, 14, 14}, Workers: 2, Ranks: ranks, Banded: banded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.Execute(nil, RunSpec{Timesteps: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.Report.Kernel; got != want {
+				t.Errorf("banded=%v ranks=%d: kernel %q, want %q", banded, ranks, got, want)
+			}
 		}
 	}
 }
