@@ -285,7 +285,8 @@ func writeOut(path string, stdout io.Writer, f func(io.Writer) error) error {
 	return out.Close()
 }
 
-// run builds a solver with the reproducible initial condition and hands
+// run builds a solver with the reproducible initial condition (banded
+// solvers keep the normalized Jacobi weights they start with) and hands
 // the spec to the one Execute entrypoint — no per-flag-combination
 // dispatch: the spec already says what to collect.
 func run(ctx context.Context, cfg nustencil.Config, spec nustencil.RunSpec) (*nustencil.RunOutput, float64, error) {
@@ -301,17 +302,6 @@ func run(ctx context.Context, cfg nustencil.Config, spec nustencil.RunSpec) (*nu
 		}
 		return v
 	})
-	if cfg.Banded {
-		np := s.NumPoints()
-		if err := s.SetCoefficients(func(point int, pt []int) float64 {
-			if point == 0 {
-				return 0.5
-			}
-			return 0.5 / float64(np-1)
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
 	out, err := s.Execute(ctx, spec)
 	if err != nil {
 		return nil, 0, err

@@ -139,15 +139,38 @@ func (g *Grid) FillBoth(v float64) {
 	g.Fill(1, v)
 }
 
-// FillFunc initializes both buffers identically from f(pt). Both buffers
-// must agree initially so that the fixed boundary ring reads the same from
-// either parity.
+// FillFunc initializes both buffers identically from f(pt), calling f as
+// Tabulate does. Both buffers must agree initially so that the fixed
+// boundary ring reads the same from either parity.
 func (g *Grid) FillFunc(f func(pt []int) float64) {
+	g.Tabulate(g.buf[0], f)
+	copy(g.buf[1], g.buf[0])
+}
+
+// Tabulate sets dst[i] = f(pt) for every cell, pt holding the coordinates of
+// flat offset i, and calls f in flat-offset (row-major) order. dst must have
+// the grid's length. The walk keeps its position apart from pt and copies it
+// in before every call, so f may change pt freely.
+func (g *Grid) Tabulate(dst []float64, f func(pt []int) float64) {
+	if len(dst) != g.n {
+		panic(fmt.Sprintf("grid: Tabulate into %d cells, grid has %d", len(dst), g.n))
+	}
+	at := make([]int, len(g.dims))
 	pt := make([]int, len(g.dims))
-	for i := 0; i < g.n; i++ {
-		v := f(g.Coords(i, pt))
-		g.buf[0][i] = v
-		g.buf[1][i] = v
+	for i := range dst {
+		// A loop, not copy: a memmove call per cell made the whole walk
+		// about twice as slow.
+		for k, c := range at {
+			pt[k] = c
+		}
+		dst[i] = f(pt)
+		// Advance the odometer, the unit-stride dimension fastest.
+		for k := len(at) - 1; k >= 0; k-- {
+			if at[k]++; at[k] < g.dims[k] {
+				break
+			}
+			at[k] = 0
+		}
 	}
 }
 

@@ -73,6 +73,42 @@ func TestFillFunc(t *testing.T) {
 	}
 }
 
+// Tabulate's odometer walk calls f at the same coordinates, in the same
+// order, as a walk that recomputes them with Coords for every cell, even
+// when f overwrites the pt it is given.
+func TestTabulateMatchesCoordsWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		dims := make([]int, 1+r.Intn(4))
+		for k := range dims {
+			dims[k] = 1 + r.Intn(6)
+		}
+		g := New(dims)
+		var calls [][]int
+		got := make([]float64, g.Len())
+		g.Tabulate(got, func(pt []int) float64 {
+			calls = append(calls, append([]int(nil), pt...))
+			v := float64(g.Index(pt))
+			for k := range pt {
+				pt[k] = -1 - k
+			}
+			return v
+		})
+		pt := make([]int, len(dims))
+		for i, want := range got {
+			g.Coords(i, pt)
+			if want != float64(i) {
+				t.Fatalf("dims %v: cell %d holds %v", dims, i, want)
+			}
+			for k := range pt {
+				if calls[i][k] != pt[k] {
+					t.Fatalf("dims %v: call %d at %v, want %v", dims, i, calls[i], pt)
+				}
+			}
+		}
+	}
+}
+
 func TestForEachRowCoversBoxExactlyOnce(t *testing.T) {
 	g := New([]int{5, 6, 7})
 	b := NewBox([]int{1, 2, 3}, []int{4, 5, 6})

@@ -18,8 +18,9 @@ import (
 // The kernels are written for the memory-bound regime the paper measures:
 // rows are walked with grid.RowIter (no per-row closure dispatch, no
 // allocation), every row a kernel touches is sliced to the row's extent
-// before its loop runs, and the constant-coefficient row loops run as AVX2
-// assembly where the CPU has it (internal/vec).
+// before its loop runs, and the constant-coefficient loops run as AVX2
+// assembly where the CPU has it (internal/vec), the 7-point star a whole
+// box of rows per call.
 type Op struct {
 	St *Stencil
 	G  *grid.Grid
@@ -134,9 +135,9 @@ func flatOffsets(s *Stencil, g *grid.Grid) []int {
 }
 
 // ApplyBox updates every point of box b for one timestep t: it reads buffer
-// t%2 and writes buffer (t+1)%2. The box must lie within the grid's
-// Interior(s.Order) so that every neighbour access is in bounds. It returns
-// the number of point updates performed.
+// t%2 and writes buffer (t+1)%2. It clips b to UpdateRegion first, so it
+// never writes the Dirichlet boundary ring, and returns the number of point
+// updates performed.
 func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 	src := op.G.Buf(t)
 	dst := op.G.Buf(t + 1)
@@ -145,6 +146,10 @@ func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 		return op.applySlow(b, src, dst)
 	case op.periodic:
 		return op.applyPeriodic(b, src, dst)
+	case op.is7pt:
+		if n, ok := op.apply7pt(b, src, dst); ok {
+			return n
+		}
 	}
 	var updates int64
 	for it := op.G.RowsIn(b, op.update); it.Next(); {
@@ -152,6 +157,54 @@ func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 		updates += int64(it.Length())
 	}
 	return updates
+}
+
+// boxCells bounds the cells of one vec.Star7Box call. The runtime cannot
+// preempt assembly, so a call holds up a stop-the-world pause for its whole
+// length; 1<<16 cells take about 30 µs from cache. A call covers whole
+// planes, at least one, so only a plane larger than this makes a longer
+// call.
+const boxCells = 1 << 16
+
+// apply7pt runs the 7-point star over b clipped to the update region, with
+// one vec.Star7Box call per run of whole planes, then adds the source term
+// row by row. It returns false, having written nothing, without AVX2.
+func (op *Op) apply7pt(b grid.Box, src, dst []float64) (int64, bool) {
+	if b.NumDims() != 3 {
+		panic("stencil: ApplyBox dimension mismatch")
+	}
+	var lo, hi [3]int
+	for k := range lo {
+		lo[k] = max(b.Lo[k], op.update.Lo[k])
+		hi[k] = min(b.Hi[k], op.update.Hi[k])
+		if hi[k] <= lo[k] {
+			return 0, true
+		}
+	}
+	c := (*[7]float64)(op.coeffs)
+	sy, sz := op.G.Stride(1), op.G.Stride(0)
+	shape := vec.Box{N: hi[2] - lo[2], Rows: hi[1] - lo[1], SY: sy, SZ: sz}
+	step := max(1, boxCells/(shape.N*shape.Rows))
+	for z := lo[0]; z < hi[0]; z += step {
+		shape.Planes = min(step, hi[0]-z)
+		// The slices are the assembly's bounds checks: d spans exactly the
+		// box, and s the box with one plane more on either side.
+		off := z*sz + lo[1]*sy + lo[2]
+		end := off + shape.Span()
+		if !vec.Star7Box(dst[off:end:end], src[off-sz:end+sz], &shape, c) {
+			return 0, false
+		}
+		if op.source == nil {
+			continue
+		}
+		for p := 0; p < shape.Planes; p++ {
+			for r := 0; r < shape.Rows; r++ {
+				o := off + p*sz + r*sy
+				op.addSource(dst[o:o+shape.N:o+shape.N], o)
+			}
+		}
+	}
+	return int64(shape.N) * int64(shape.Rows) * int64(hi[0]-lo[0]), true
 }
 
 // row updates the n unit-stride cells at flat offset off with the kernel
@@ -170,11 +223,11 @@ func (op *Op) row(src, dst []float64, off, n int) {
 }
 
 // The constant-coefficient row kernels slice every row they read or write
-// to the row's extent, let the internal/vec assembly compute a vector
-// prefix of the row, and finish it with a Go loop. Each Go loop is also the
+// to the row's extent and let the internal/vec assembly compute the row, or
+// a vector prefix of it that a Go loop finishes. Each Go loop is also the
 // reference its assembly routine matches bit for bit, and, without AVX2,
-// the whole kernel. The loops take the cell k to start from and sum in
-// point order, like every other kernel here.
+// the whole kernel. The loops sum in point order, like every other kernel
+// here.
 
 // Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
 // through the internal/vec assembly, "go" when the Go loops run alone: on a
@@ -190,30 +243,31 @@ func (op *Op) Kernel() string {
 
 // row7pt is the specialized 3D 7-point constant row kernel (the paper's
 // model problem, equation (1)): 7 multiplications, 6 additions per update.
+// It runs vec.Star7Box on a box of one row, or the Go loop without AVX2.
 func (op *Op) row7pt(src, dst []float64, off, n int) {
 	c := (*[7]float64)(op.coeffs)
 	d := dst[off : off+n : off+n]
-	o := op.offs
-	// These slices are the bounds checks for the assembly, which reads n
-	// cells of each row; offs[5] and offs[6] are -1 and +1.
-	s := [7][]float64{
-		src[off : off+n],
-		src[off+o[1]:][:n], src[off+o[2]:][:n],
-		src[off+o[3]:][:n], src[off+o[4]:][:n],
-		src[off-1 : off-1+n], src[off+1 : off+1+n],
+	o := op.offs // 0, −SZ, +SZ, −SY, +SY, −1, +1
+	sz := o[2]
+	if !vec.Star7Box(d, src[off-sz:off+n+sz], &vec.Box{N: n, Rows: 1, Planes: 1, SY: o[4], SZ: sz}, c) {
+		s := [7][]float64{
+			src[off : off+n],
+			src[off+o[1]:][:n], src[off+o[2]:][:n],
+			src[off+o[3]:][:n], src[off+o[4]:][:n],
+			src[off-1 : off-1+n], src[off+1 : off+1+n],
+		}
+		star7(d, &s, c)
 	}
-	star7(vec.Star7(d, &s, c), d, &s, c)
 	op.addSource(d, off)
 }
 
-// star7 sets d[i] = c[0]·s[0][i] + … + c[6]·s[6][i] for i ≥ k (vec.Star7).
-// Every row is re-sliced to len(d), so the loop runs without bounds checks
-// (verify with -gcflags=-d=ssa/check_bce).
-func star7(k int, d []float64, s *[7][]float64, c *[7]float64) {
-	d = d[k:]
+// star7 sets d[i] = c[0]·s[0][i] + … + c[6]·s[6][i], the reference for
+// vec.Star7Box. Every row is re-sliced to len(d), so the loop runs without
+// bounds checks (verify with -gcflags=-d=ssa/check_bce).
+func star7(d []float64, s *[7][]float64, c *[7]float64) {
 	n := len(d)
-	s0, s1, s2, s3 := s[0][k:][:n], s[1][k:][:n], s[2][k:][:n], s[3][k:][:n]
-	s4, s5, s6 := s[4][k:][:n], s[5][k:][:n], s[6][k:][:n]
+	s0, s1, s2, s3 := s[0][:n], s[1][:n], s[2][:n], s[3][:n]
+	s4, s5, s6 := s[4][:n], s[5][:n], s[6][:n]
 	c0, c1, c2, c3, c4, c5, c6 := c[0], c[1], c[2], c[3], c[4], c[5], c[6]
 	for i := range d {
 		d[i] = c0*s0[i] +
@@ -458,7 +512,3 @@ func (op *Op) applySlow(b grid.Box, src, dst []float64) int64 {
 	})
 	return updates
 }
-
-// Unit-stride wrap note: kernels never wrap indices; callers must clip boxes
-// to Interior(order). row7pt indexes row[i-1] and row[i+1], which stay in
-// src because the interior excludes the boundary ring.

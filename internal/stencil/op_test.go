@@ -172,28 +172,31 @@ func TestApplyBoxNoAllocs(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i % 17)
 	}
+	// The big grid's interior takes vec.Star7Box more than one call.
+	big := grid.New([]int{20, 30, 135})
 	cases := []struct {
 		name string
 		op   *Op
+		box  grid.Box
 	}{
-		{"7pt", NewOp(NewStar(3, 1), g)},
-		{"generic-s2", NewOp(NewStar(3, 2), g)},
-		{"generic-s3", NewOp(NewStar(3, 3), g)},
-		{"banded-7pt", NewBandedOp(NewBandedStar(3, 1), g, NewCoefficients(NewBandedStar(3, 1), g))},
-		{"banded-s2", NewBandedOp(NewBandedStar(3, 2), g, NewCoefficients(NewBandedStar(3, 2), g))},
+		{"7pt", NewOp(NewStar(3, 1), g), g.Interior(3)},
+		{"7pt-multicall", NewOp(NewStar(3, 1), big), big.Interior(1)},
+		{"generic-s2", NewOp(NewStar(3, 2), g), g.Interior(3)},
+		{"generic-s3", NewOp(NewStar(3, 3), g), g.Interior(3)},
+		{"banded-7pt", NewBandedOp(NewBandedStar(3, 1), g, NewCoefficients(NewBandedStar(3, 1), g)), g.Interior(3)},
+		{"banded-s2", NewBandedOp(NewBandedStar(3, 2), g, NewCoefficients(NewBandedStar(3, 2), g)), g.Interior(3)},
 	}
 	for _, c := range cases {
 		for _, withSource := range []bool{false, true} {
 			name := c.name
 			if withSource {
 				name += "+source"
-				c.op.SetSource(src)
+				c.op.SetSource(make([]float64, c.op.G.Len()))
 			} else {
 				c.op.SetSource(nil)
 			}
-			box := g.Interior(3)
 			allocs := testing.AllocsPerRun(10, func() {
-				if c.op.ApplyBox(box, 0) == 0 {
+				if c.op.ApplyBox(c.box, 0) == 0 {
 					t.Fatal("no updates")
 				}
 			})

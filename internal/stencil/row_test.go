@@ -8,9 +8,9 @@ import (
 	"nustencil/internal/vec"
 )
 
-// The internal/vec row routines against the Go loops that finish their
-// rows: bit for bit, on rows of 0 to 130 cells starting at every alignment,
-// with inputs that include ±0, subnormals, ±Inf and NaN.
+// The internal/vec routines against the Go loops they stand for: bit for
+// bit, on rows of 0 to 130 cells starting at every alignment, and on boxes
+// of such rows, with inputs that include ±0, subnormals, ±Inf and NaN.
 
 var specialValues = []float64{
 	0, math.Copysign(0, -1),
@@ -37,14 +37,6 @@ func randomValues(r *rand.Rand, n int) []float64 {
 func randomRow(r *rand.Rand, n int) []float64 {
 	lead := r.Intn(4)
 	return append(make([]float64, lead, lead+n), randomValues(r, n)...)[lead:]
-}
-
-func randomRows7(r *rand.Rand, n int) [7][]float64 {
-	var s [7][]float64
-	for i := range s {
-		s[i] = randomRow(r, n)
-	}
-	return s
 }
 
 // sameFloat reports whether a and b are the same float64 bit for bit; any
@@ -96,16 +88,97 @@ func skipWithoutAVX2(t *testing.T) {
 	}
 }
 
-func TestVecStar7MatchesGoLoop(t *testing.T) {
+// randomStar7Box returns a box of n-cell rows, 1 to 4 rows by 1 to 4
+// planes, whose strides leave gaps of 0 to 3 cells between rows and between
+// planes.
+func randomStar7Box(r *rand.Rand, n int) vec.Box {
+	b := vec.Box{N: n, Rows: 1 + r.Intn(4), Planes: 1 + r.Intn(4)}
+	b.SY = n + r.Intn(4)
+	b.SZ = b.Rows*b.SY + r.Intn(4)
+	return b
+}
+
+// TestVecStar7BoxMatchesGoLoop runs Star7Box on random boxes and star7 on
+// each of their rows, and checks that the two agree bit for bit and that
+// Star7Box left every cell outside the box as it was, gaps included.
+func TestVecStar7BoxMatchesGoLoop(t *testing.T) {
 	skipWithoutAVX2(t)
+	const sentinel = -7.25
 	r := rand.New(rand.NewSource(71))
-	for n := 0; n <= 130; n++ {
-		s := randomRows7(r, n)
-		c := (*[7]float64)(randomValues(r, 7))
-		compareRoutine(t, "Star7", r, n,
-			func(d []float64) int { return vec.Star7(d, &s, c) },
-			func(k int, d []float64) { star7(k, d, &s, c) })
+	for n := 1; n <= 130; n++ {
+		for trial := 0; trial < 4; trial++ {
+			b := randomStar7Box(r, n)
+			end := b.Span()
+			c := (*[7]float64)(randomValues(r, 7))
+			s := randomRow(r, end+2*b.SZ)
+			const guard = 4
+			lead := r.Intn(4)
+			back := make([]float64, lead+end+guard)
+			for i := range back {
+				back[i] = sentinel
+			}
+			d := back[lead : lead+end : lead+end]
+			if !vec.Star7Box(d, s, &b, c) {
+				t.Fatalf("%+v: Star7Box did not run", b)
+			}
+			inBox := make([]bool, end)
+			want := make([]float64, n)
+			for p := 0; p < b.Planes; p++ {
+				for q := 0; q < b.Rows; q++ {
+					j := p*b.SZ + q*b.SY
+					at := func(o int) []float64 { return s[b.SZ+j+o:][:n] }
+					rows := [7][]float64{at(0), at(-b.SZ), at(b.SZ), at(-b.SY), at(b.SY), at(-1), at(1)}
+					star7(want, &rows, c)
+					for i, w := range want {
+						inBox[j+i] = true
+						if got := d[j+i]; !sameFloat(got, w) {
+							t.Fatalf("%+v: plane %d row %d cell %d is %v (%#x), the Go loop gives %v (%#x)",
+								b, p, q, i, got, math.Float64bits(got), w, math.Float64bits(w))
+						}
+					}
+				}
+			}
+			for i, v := range back {
+				if j := i - lead; (j < 0 || j >= end || !inBox[j]) && v != sentinel {
+					t.Fatalf("%+v: wrote outside the box, at %d", b, j)
+				}
+			}
+		}
 	}
+}
+
+// Star7Box checks its shape before it looks for AVX2, so these hold on
+// every host.
+func TestVecStar7BoxChecksShape(t *testing.T) {
+	b := vec.Box{N: 5, Rows: 2, Planes: 3, SY: 7, SZ: 16}
+	end := b.Span()
+	d, s := make([]float64, end), make([]float64, end+2*b.SZ)
+	var c [7]float64
+	mustPanic := func(name string, b vec.Box, d, s []float64) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Star7Box did not panic", name)
+			}
+		}()
+		vec.Star7Box(d, s, &b, &c)
+	}
+	mustPanic("d one cell short", b, d[:end-1], s)
+	mustPanic("s one cell short", b, d, s[:end+2*b.SZ-1])
+	for name, bad := range map[string]func(*vec.Box){
+		"no cells":        func(b *vec.Box) { b.N = 0 },
+		"no rows":         func(b *vec.Box) { b.Rows = 0 },
+		"no planes":       func(b *vec.Box) { b.Planes = 0 },
+		"zero row stride": func(b *vec.Box) { b.SY = 0 },
+		"SY above SZ":     func(b *vec.Box) { b.SY = b.SZ + 1 },
+		"overflowing":     func(b *vec.Box) { b.Planes = math.MaxInt / 8 },
+	} {
+		bb := b
+		bad(&bb)
+		mustPanic(name, bb, d, s)
+	}
+	// The exact lengths pass.
+	vec.Star7Box(d, s, &b, &c)
 }
 
 func TestVecMulMatchesGoLoop(t *testing.T) {

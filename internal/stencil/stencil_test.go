@@ -163,10 +163,34 @@ func checkRowsAgainstOracle(t *testing.T, op *Op, c *Coefficients) {
 	}
 }
 
+// The 7-point boxes here span 3 planes of 3 rows, so each vec.Star7Box
+// call crosses rows and planes.
 func TestApply7ptMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s := NewStarWithCoeffs(3, 1, []float64{0.4, 0.1, 0.05, 0.15, 0.1, 0.12, 0.08})
-	checkRowsAgainstOracle(t, NewOp(s, randomGrid(r, []int{4, 4, 135})), nil)
+	checkRowsAgainstOracle(t, NewOp(s, randomGrid(r, []int{5, 5, 135})), nil)
+}
+
+// An interior of 18·28·133 cells, above boxCells, takes ApplyBox two
+// vec.Star7Box calls: 17 planes, then 1.
+func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	s := NewStarWithCoeffs(3, 1, []float64{0.4, 0.1, 0.05, 0.15, 0.1, 0.12, 0.08})
+	op := NewOp(s, randomGrid(r, []int{20, 30, 135}))
+	interior := op.G.Interior(1)
+	if interior.Size() <= boxCells {
+		t.Fatalf("interior of %d cells fits one call", interior.Size())
+	}
+	src := make([]float64, op.G.Len())
+	for i := range src {
+		src[i] = math.Sin(float64(i))
+	}
+	for _, g := range [][]float64{nil, src} {
+		op.SetSource(g)
+		if msg := oracleMismatch(op, nil, interior); msg != "" {
+			t.Fatalf("source %v: %s", g != nil, msg)
+		}
+	}
 }
 
 func TestApplyGenericMatchesOracleHighOrder(t *testing.T) {

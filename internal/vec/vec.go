@@ -1,25 +1,31 @@
-// Package vec holds the AVX2 assembly behind the stencil row kernels and
-// the peak-FLOPS loop, and the CPU probe that selects it once, when the
-// program starts.
+// Package vec holds the AVX2 assembly behind the stencil kernels and the
+// peak-FLOPS loop, and the CPU probe that selects it once, when the program
+// starts.
 //
-// Each row routine computes a prefix of its output row d, a multiple of 4
-// cells, and returns the prefix length. The caller's Go loop finishes the
-// row; that loop is also the reference every routine matches bit for bit.
-// Without AVX2 (another architecture, or a CPU or OS without it) the prefix
-// is 0 and the Go loop runs the whole row.
+// Star7Box runs the constant 7-point star over a whole box of rows, tails
+// included, and reports whether it ran. Mul and MulAdd compute a prefix of
+// their output row d, a multiple of 4 cells, and return the prefix length;
+// the caller's Go loop finishes the row. A Go loop is also the reference
+// every routine matches bit for bit. Without AVX2 (another architecture, or
+// a CPU or OS without it) no routine writes anything, and the Go loops do
+// all the work.
 //
 // The routines multiply and add in the order of the Go expression they
-// stand for, with one VMULPD per product and one VADDPD per sum. They never
-// use FMA: a fused multiply-add rounds once where the Go loop rounds twice,
-// so its results would differ in the last bit.
+// stand for, with one multiply per product and one add per sum: VMULPD and
+// VADDPD four cells at a time, VMULSD and VADDSD for single cells. They
+// never use FMA: a fused multiply-add rounds once where the Go loop rounds
+// twice, so its results would differ in the last bit.
 //
-// The assembly does no bounds checks. Every slice a routine reads must be
-// at least as long as d. The callers slice each range to exactly len(d)
-// before the call, so a bad row panics in Go before any assembly runs.
+// The assembly does no bounds checks. Mul and MulAdd read len(d) cells of
+// s, and their callers slice each range to exactly len(d) before the call,
+// so a bad row panics in Go before any assembly runs. Star7Box checks its
+// shape against the lengths of d and s itself, and panics on a mismatch.
 package vec
 
-// Kernel names the row kernels in use: "avx2", or "go" when the Go loops
-// run alone.
+import "fmt"
+
+// Kernel names the kernels in use: "avx2", or "go" when the Go loops run
+// alone.
 func Kernel() string {
 	if hasAVX2 {
 		return "avx2"
@@ -27,14 +33,62 @@ func Kernel() string {
 	return "go"
 }
 
-// Star7 sets d[i] = c[0]·s[0][i] + c[1]·s[1][i] + … + c[6]·s[6][i], summed
-// left to right, on a prefix of d and returns its length.
-func Star7(d []float64, s *[7][]float64, c *[7]float64) int {
-	if !hasAVX2 {
-		return 0
-	}
-	return star7(d, s, c)
+// Box is the shape of a 3D box of cells for Star7Box: Planes × Rows rows of
+// N cells, rows SY cells apart and planes SZ cells apart.
+type Box struct {
+	N, Rows, Planes int
+	SY, SZ          int
 }
+
+// Star7Box runs the constant 7-point star over box b and reports whether it
+// ran; without AVX2 it writes nothing and returns false.
+//
+// d starts at the box's first cell and s one plane earlier, SZ cells before
+// it. Every cell d[j] of the box is set to
+//
+//	c[0]·s[j+SZ] + c[1]·s[j] + c[2]·s[j+2·SZ] + c[3]·s[j+SZ−SY] +
+//	c[4]·s[j+SZ+SY] + c[5]·s[j+SZ−1] + c[6]·s[j+SZ+1],
+//
+// summed left to right: the centre, then the neighbours −SZ, +SZ, −SY, +SY,
+// −1 and +1, the stencil package's point order. Cells between the rows and
+// planes of the box are left as they are.
+//
+// The shape must have 1 ≤ SY ≤ SZ and N, Rows and Planes at least 1, and d
+// and s must reach the box's last cell and that cell's +SZ neighbour:
+// len(d) ≥ b.Span() and len(s) ≥ b.Span() + 2·SZ. Star7Box panics
+// otherwise.
+//
+// The runtime cannot preempt the call, so callers should keep boxes small
+// enough to finish in well under a millisecond.
+func Star7Box(d, s []float64, b *Box, c *[7]float64) bool {
+	if !b.fits(len(d), len(s)) {
+		panic(fmt.Sprintf("vec: Star7Box shape %+v on %d and %d cells", *b, len(d), len(s)))
+	}
+	if !hasAVX2 {
+		return false
+	}
+	star7Box(d, s, b, c)
+	return true
+}
+
+// fits reports whether the shape is valid and its box fits in a d of nd
+// cells and an s of ns cells.
+func (b *Box) fits(nd, ns int) bool {
+	if b.N < 1 || b.Rows < 1 || b.Planes < 1 || b.SY < 1 || b.SZ < b.SY {
+		return false
+	}
+	// Bounding each term of the span by nd first keeps the sum from
+	// overflowing.
+	if b.N > nd || b.Rows-1 > nd/b.SY || b.Planes-1 > nd/b.SZ || b.SZ > ns/2 {
+		return false
+	}
+	end := b.Span()
+	return end <= nd && end <= ns-2*b.SZ
+}
+
+// Span returns the number of cells from the box's first cell to just past
+// its last: (Planes−1)·SZ + (Rows−1)·SY + N.
+func (b *Box) Span() int { return (b.Planes-1)*b.SZ + (b.Rows-1)*b.SY + b.N }
 
 // Mul sets d[i] = c·s[i] on a prefix of d and returns its length.
 func Mul(d, s []float64, c float64) int {

@@ -8,7 +8,7 @@ var hasAVX2 = cpuHasAVX2()
 func cpuHasAVX2() bool
 
 //go:noescape
-func star7(d []float64, s *[7][]float64, c *[7]float64) int
+func star7Box(d, s []float64, b *Box, c *[7]float64)
 
 //go:noescape
 func mul(d, s []float64, c float64) int

@@ -1,8 +1,9 @@
+#include "go_asm.h"
 #include "textflag.h"
 
-// Every row routine walks its rows 4 cells at a time with the cell index
-// in AX, up to CX = len(d) rounded down to a multiple of 4, and returns CX.
-// DI holds d.
+// mul and mulAdd walk their rows 4 cells at a time with the cell index in
+// AX, up to CX = len(d) rounded down to a multiple of 4, and return CX. DI
+// holds d.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -41,24 +42,23 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func star7(d []float64, s *[7][]float64, c *[7]float64) int
+// func star7Box(d, s []float64, b *Box, c *[7]float64)
 //
-// The seven rows of *s (slices 24 bytes apart) sit in BX, SI and R8–R12,
-// their coefficients in Y0–Y6, in point order. Each round sums the products
-// left to right in Y7, with Y8 as scratch.
-TEXT ·star7(SB), NOSPLIT, $0-48
+// The box's cells are numbered j = p·SZ + r·SY + i from its first cell, and
+// AX runs over them. DI holds d, and five pointers into s hold the
+// neighbours of cell 0, in cells from s: BX −SZ (0), SI the centre (SZ),
+// whose −1 and +1 neighbours are 8 bytes either side, R8 +SZ (2·SZ), R9 −SY
+// (SZ−SY) and R10 +SY (SZ+SY). R11 holds the current row's first cell, R12
+// the rows left in the plane, DX the planes left, and R13 b. The
+// coefficients sit in Y0–Y6, in point order, and each cell's products are
+// summed left to right in Y7, with Y8 as scratch: four cells at a time up
+// to the last multiple of 4 in the row, then one at a time with VMULSD and
+// VADDSD on the low lanes.
+TEXT ·star7Box(SB), NOSPLIT, $0-64
 	MOVQ         d_base+0(FP), DI
-	MOVQ         d_len+8(FP), CX
-	ANDQ         $-4, CX
-	MOVQ         s+24(FP), DX
-	MOVQ         0(DX), BX
-	MOVQ         24(DX), SI
-	MOVQ         48(DX), R8
-	MOVQ         72(DX), R9
-	MOVQ         96(DX), R10
-	MOVQ         120(DX), R11
-	MOVQ         144(DX), R12
-	MOVQ         c+32(FP), DX
+	MOVQ         s_base+24(FP), BX
+	MOVQ         b+48(FP), R13
+	MOVQ         c+56(FP), DX
 	VBROADCASTSD 0(DX), Y0
 	VBROADCASTSD 8(DX), Y1
 	VBROADCASTSD 16(DX), Y2
@@ -66,12 +66,30 @@ TEXT ·star7(SB), NOSPLIT, $0-48
 	VBROADCASTSD 32(DX), Y4
 	VBROADCASTSD 40(DX), Y5
 	VBROADCASTSD 48(DX), Y6
-	XORQ         AX, AX
-	JMP          test
+	MOVQ         Box_SZ(R13), CX
+	LEAQ         (BX)(CX*8), SI
+	LEAQ         (SI)(CX*8), R8
+	MOVQ         Box_SY(R13), CX
+	NEGQ         CX
+	LEAQ         (SI)(CX*8), R9
+	NEGQ         CX
+	LEAQ         (SI)(CX*8), R10
+	XORQ         R11, R11
+	MOVQ         Box_Planes(R13), DX
 
-loop:
-	VMULPD  (BX)(AX*8), Y0, Y7
-	VMULPD  (SI)(AX*8), Y1, Y8
+plane:
+	MOVQ Box_Rows(R13), R12
+
+row:
+	MOVQ R11, AX
+	MOVQ Box_N(R13), CX
+	ANDQ $-4, CX
+	ADDQ R11, CX
+	JMP  vtest
+
+vloop:
+	VMULPD  (SI)(AX*8), Y0, Y7
+	VMULPD  (BX)(AX*8), Y1, Y8
 	VADDPD  Y8, Y7, Y7
 	VMULPD  (R8)(AX*8), Y2, Y8
 	VADDPD  Y8, Y7, Y7
@@ -79,18 +97,53 @@ loop:
 	VADDPD  Y8, Y7, Y7
 	VMULPD  (R10)(AX*8), Y4, Y8
 	VADDPD  Y8, Y7, Y7
-	VMULPD  (R11)(AX*8), Y5, Y8
+	VMULPD  -8(SI)(AX*8), Y5, Y8
 	VADDPD  Y8, Y7, Y7
-	VMULPD  (R12)(AX*8), Y6, Y8
+	VMULPD  8(SI)(AX*8), Y6, Y8
 	VADDPD  Y8, Y7, Y7
 	VMOVUPD Y7, (DI)(AX*8)
 	ADDQ    $4, AX
 
-test:
+vtest:
 	CMPQ AX, CX
-	JLT  loop
+	JLT  vloop
+	MOVQ Box_N(R13), CX
+	ADDQ R11, CX
+	JMP  stest
+
+sloop:
+	VMULSD (SI)(AX*8), X0, X7
+	VMULSD (BX)(AX*8), X1, X8
+	VADDSD X8, X7, X7
+	VMULSD (R8)(AX*8), X2, X8
+	VADDSD X8, X7, X7
+	VMULSD (R9)(AX*8), X3, X8
+	VADDSD X8, X7, X7
+	VMULSD (R10)(AX*8), X4, X8
+	VADDSD X8, X7, X7
+	VMULSD -8(SI)(AX*8), X5, X8
+	VADDSD X8, X7, X7
+	VMULSD 8(SI)(AX*8), X6, X8
+	VADDSD X8, X7, X7
+	VMOVSD X7, (DI)(AX*8)
+	INCQ   AX
+
+stest:
+	CMPQ AX, CX
+	JLT  sloop
+
+	// Next row; after the plane's last, back to its first row and on
+	// to the next plane.
+	ADDQ  Box_SY(R13), R11
+	DECQ  R12
+	JNZ   row
+	MOVQ  Box_Rows(R13), CX
+	IMULQ Box_SY(R13), CX
+	SUBQ  CX, R11
+	ADDQ  Box_SZ(R13), R11
+	DECQ  DX
+	JNZ   plane
 	VZEROUPPER
-	MOVQ CX, ret+40(FP)
 	RET
 
 // func mul(d, s []float64, c float64) int

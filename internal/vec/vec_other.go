@@ -2,11 +2,12 @@
 
 package vec
 
-// Without the amd64 assembly there is no vector path: every routine
-// computes an empty prefix and the Go loops run whole rows.
+// Without the amd64 assembly there is no vector path: Star7Box runs
+// nothing, every other routine computes an empty prefix, and the Go loops
+// do all the work.
 const hasAVX2 = false
 
-func star7(d []float64, s *[7][]float64, c *[7]float64) int { return 0 }
+func star7Box(d, s []float64, b *Box, c *[7]float64) {}
 
 func mul(d, s []float64, c float64) int { return 0 }
 

@@ -373,20 +373,21 @@ func NewSolver(cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// SetInitial initializes every cell (and the fixed boundary) from f.
+// SetInitial initializes every cell (and the fixed boundary) from f, which
+// it calls once per cell in row-major order.
 func (s *Solver) SetInitial(f func(pt []int) float64) { s.g.FillFunc(f) }
 
 // SetCoefficients initializes the per-cell coefficients of a banded solver:
 // f(point, pt) returns the coefficient of stencil point index point (0 is
-// the centre) at cell pt.
+// the centre) at cell pt. It calls f point by point, and for each point
+// once per cell in row-major order.
 func (s *Solver) SetCoefficients(f func(point int, pt []int) float64) error {
 	if s.coeffs == nil {
 		return errors.New("nustencil: SetCoefficients requires Config.Banded")
 	}
-	buf := make([]int, len(s.cfg.Dims))
-	s.coeffs.FillFunc(func(p, idx int) float64 {
-		return f(p, s.g.Coords(idx, buf))
-	})
+	for p, band := range s.coeffs.Data {
+		s.g.Tabulate(band, func(pt []int) float64 { return f(p, pt) })
+	}
 	return nil
 }
 
@@ -403,10 +404,7 @@ func (s *Solver) SetSource(f func(pt []int) float64) {
 	if s.source == nil {
 		s.source = make([]float64, s.g.Len())
 	}
-	buf := make([]int, len(s.cfg.Dims))
-	for i := range s.source {
-		s.source[i] = f(s.g.Coords(i, buf))
-	}
+	s.g.Tabulate(s.source, f)
 }
 
 // Value returns the current value at pt (after any completed Run calls).

@@ -119,9 +119,9 @@ type Limits struct {
 }
 
 // RunLocal executes one job spec in-process: build a fresh solver,
-// apply the named initial condition (and, for banded problems, the
-// default diagonally dominant coefficients), and Execute the run spec
-// under ctx. It is the server executor's job body and the replay path
+// apply the named initial condition, and Execute the run spec under ctx.
+// Banded problems keep the normalized Jacobi weights the solver starts
+// with. It is the server executor's job body and the replay path
 // of stencil-replay -job — a captured spec re-executes identically.
 //
 // On a failed execution whose solver ended up poisoned, the returned
@@ -134,12 +134,26 @@ func RunLocal(ctx context.Context, spec JobSpec) (*nustencil.RunOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch spec.Init {
+	setInitial(sol, spec.Problem.Dims, spec.Init)
+	out, err := sol.Execute(ctx, spec.Run)
+	if err != nil {
+		if perr := sol.Err(); perr != nil {
+			return out, fmt.Errorf("%w (%w)", err, perr)
+		}
+		return out, err
+	}
+	return out, nil
+}
+
+// setInitial applies the initial condition init to sol, a fresh solver
+// over dims.
+func setInitial(sol *nustencil.Solver, dims []int, init string) {
+	switch init {
 	case InitZero:
 		// The fresh grid is already zeroed.
 	case InitPoint:
-		centre := make([]int, len(spec.Problem.Dims))
-		for k, d := range spec.Problem.Dims {
+		centre := make([]int, len(dims))
+		for k, d := range dims {
 			centre[k] = d / 2
 		}
 		sol.SetInitial(func(pt []int) float64 {
@@ -151,33 +165,23 @@ func RunLocal(ctx context.Context, spec JobSpec) (*nustencil.RunOutput, error) {
 			return 1
 		})
 	default: // InitSin
+		// Σₖ sin(0.17·pt[k] + k), from one table of sines per dimension,
+		// summed in dimension order.
+		sines := make([][]float64, len(dims))
+		for k, d := range dims {
+			sines[k] = make([]float64, d)
+			for c := range sines[k] {
+				sines[k][c] = math.Sin(float64(c)*0.17 + float64(k))
+			}
+		}
 		sol.SetInitial(func(pt []int) float64 {
 			v := 0.0
 			for k, c := range pt {
-				v += math.Sin(float64(c)*0.17 + float64(k))
+				v += sines[k][c]
 			}
 			return v
 		})
 	}
-	if spec.Problem.Banded {
-		np := sol.NumPoints()
-		if err := sol.SetCoefficients(func(point int, pt []int) float64 {
-			if point == 0 {
-				return 0.5
-			}
-			return 0.5 / float64(np-1)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	out, err := sol.Execute(ctx, spec.Run)
-	if err != nil {
-		if perr := sol.Err(); perr != nil {
-			return out, fmt.Errorf("%w (%w)", err, perr)
-		}
-		return out, err
-	}
-	return out, nil
 }
 
 // JobState is the lifecycle state of a job.
