@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"slices"
 
 	"nustencil/internal/grid"
 	"nustencil/internal/vec"
@@ -18,9 +19,9 @@ import (
 // The kernels are written for the memory-bound regime the paper measures:
 // rows are walked with grid.RowIter (no per-row closure dispatch, no
 // allocation), every row a kernel touches is sliced to the row's extent
-// before its loop runs, and the constant-coefficient loops run as AVX2
-// assembly where the CPU has it (internal/vec), the 7-point star a whole
-// box of rows per call.
+// before its loop runs, and the constant-coefficient stars run as AVX2
+// assembly where the CPU has it (internal/vec): on 3D grids a whole box of
+// rows per call, elsewhere one row per call.
 type Op struct {
 	St *Stencil
 	G  *grid.Grid
@@ -30,8 +31,15 @@ type Op struct {
 	vc     *Coefficients
 	source []float64 // optional per-cell additive term
 
+	// For constant stencils: the star's reach below a cell, −min(offs),
+	// and the offsets shifted up by it, all non-negative, as vec.StarBox
+	// takes them.
+	reach   int
+	shifted []int
+
 	update  grid.Box // cached UpdateRegion, so kernels clip without allocating
 	dims    []int    // cached grid dimensions
+	box3    bool     // 3D constant star: ApplyBox runs whole planes per call
 	is7pt   bool     // 3D first-order star with constant coefficients
 	banded7 bool     // 3D first-order star with variable coefficients
 
@@ -119,6 +127,15 @@ func (op *Op) finish() {
 		op.offs[5] == -1 && op.offs[6] == 1
 	op.is7pt = star7 && op.vc == nil
 	op.banded7 = star7 && op.vc != nil
+	if op.vc != nil {
+		return
+	}
+	op.box3 = op.G.NumDims() == 3
+	op.reach = -slices.Min(op.offs)
+	op.shifted = make([]int, len(op.offs))
+	for p, o := range op.offs {
+		op.shifted[p] = o + op.reach
+	}
 }
 
 func flatOffsets(s *Stencil, g *grid.Grid) []int {
@@ -146,8 +163,8 @@ func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 		return op.applySlow(b, src, dst)
 	case op.periodic:
 		return op.applyPeriodic(b, src, dst)
-	case op.is7pt:
-		if n, ok := op.apply7pt(b, src, dst); ok {
+	case op.box3:
+		if n, ok := op.applyStar(b, src, dst); ok {
 			return n
 		}
 	}
@@ -159,17 +176,19 @@ func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 	return updates
 }
 
-// boxCells bounds the cells of one vec.Star7Box call. The runtime cannot
-// preempt assembly, so a call holds up a stop-the-world pause for its whole
-// length; 1<<16 cells take about 30 µs from cache. A call covers whole
-// planes, at least one, so only a plane larger than this makes a longer
-// call.
+// boxCells bounds the cells of one vec.Star7Box or vec.StarBox call. The
+// runtime cannot preempt assembly, so a call holds up a stop-the-world
+// pause for its whole length; 1<<16 cells of the 7-point star take about
+// 30 µs from cache, and of an order-2 star about three times as long,
+// still well under a millisecond. A call covers whole planes, at least
+// one, so only a plane larger than this makes a longer call.
 const boxCells = 1 << 16
 
-// apply7pt runs the 7-point star over b clipped to the update region, with
-// one vec.Star7Box call per run of whole planes, then adds the source term
-// row by row. It returns false, having written nothing, without AVX2.
-func (op *Op) apply7pt(b grid.Box, src, dst []float64) (int64, bool) {
+// applyStar runs a constant 3D star over b clipped to the update region,
+// with one call per run of whole planes, vec.Star7Box for the 7-point star
+// and vec.StarBox for any other, then adds the source term row by row. It
+// returns false, having written nothing, without AVX2.
+func (op *Op) applyStar(b grid.Box, src, dst []float64) (int64, bool) {
 	if b.NumDims() != 3 {
 		panic("stencil: ApplyBox dimension mismatch")
 	}
@@ -181,17 +200,23 @@ func (op *Op) apply7pt(b grid.Box, src, dst []float64) (int64, bool) {
 			return 0, true
 		}
 	}
-	c := (*[7]float64)(op.coeffs)
 	sy, sz := op.G.Stride(1), op.G.Stride(0)
 	shape := vec.Box{N: hi[2] - lo[2], Rows: hi[1] - lo[1], SY: sy, SZ: sz}
 	step := max(1, boxCells/(shape.N*shape.Rows))
 	for z := lo[0]; z < hi[0]; z += step {
 		shape.Planes = min(step, hi[0]-z)
 		// The slices are the assembly's bounds checks: d spans exactly the
-		// box, and s the box with one plane more on either side.
+		// box, and s the box with the star's reach more on either side.
 		off := z*sz + lo[1]*sy + lo[2]
 		end := off + shape.Span()
-		if !vec.Star7Box(dst[off:end:end], src[off-sz:end+sz], &shape, c) {
+		d, s := dst[off:end:end], src[off-op.reach:end+op.reach]
+		var ran bool
+		if op.is7pt {
+			ran = vec.Star7Box(d, s, &shape, (*[7]float64)(op.coeffs))
+		} else {
+			ran = vec.StarBox(d, s, &shape, op.shifted, op.coeffs)
+		}
+		if !ran {
 			return 0, false
 		}
 		if op.source == nil {
@@ -223,11 +248,10 @@ func (op *Op) row(src, dst []float64, off, n int) {
 }
 
 // The constant-coefficient row kernels slice every row they read or write
-// to the row's extent and let the internal/vec assembly compute the row, or
-// a vector prefix of it that a Go loop finishes. Each Go loop is also the
-// reference its assembly routine matches bit for bit, and, without AVX2,
-// the whole kernel. The loops sum in point order, like every other kernel
-// here.
+// to the row's extent and let the internal/vec assembly compute the row as
+// a box of one row. Each Go loop is also the reference its assembly routine
+// matches bit for bit, and, without AVX2, the whole kernel. The loops sum
+// in point order, like every other kernel here.
 
 // Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
 // through the internal/vec assembly, "go" when the Go loops run alone: on a
@@ -277,19 +301,27 @@ func star7(d []float64, s *[7][]float64, c *[7]float64) {
 	}
 }
 
-// rowGeneric handles any dimension and order with constant coefficients,
-// one point at a time: d = c0·s0, then d += cp·sp for each further point,
-// so every cell still sums its points in point order.
+// rowGeneric handles any dimension and order with constant coefficients.
+// It runs vec.StarBox on a box of one row, or without AVX2 the Go loop
+// star.
 func (op *Op) rowGeneric(src, dst []float64, off, n int) {
-	offs, cs := op.offs, op.coeffs
 	d := dst[off : off+n : off+n]
-	s := src[off+offs[0]:][:n]
-	mul(vec.Mul(d, s, cs[0]), d, s, cs[0])
-	for p := 1; p < len(offs); p++ {
-		s := src[off+offs[p]:][:n]
-		mulAdd(vec.MulAdd(d, s, cs[p]), d, s, cs[p])
+	s := src[off-op.reach : off+n+op.reach]
+	if !vec.StarBox(d, s, &vec.Box{N: n, Rows: 1, Planes: 1, SY: 1, SZ: 1}, op.shifted, op.coeffs) {
+		star(d, s, op.shifted, op.coeffs)
 	}
 	op.addSource(d, off)
+}
+
+// star sets d[i] = c[0]·s[i+o[0]] + c[1]·s[i+o[1]] + …, the reference for
+// vec.StarBox on one row. It runs one point at a time, d = c₀·s₀ and then
+// d += cₚ·sₚ for each further point, so every cell sums its points in
+// point order.
+func star(d, s []float64, o []int, c []float64) {
+	mul(d, s[o[0]:][:len(d)], c[0])
+	for p := 1; p < len(o); p++ {
+		mulAdd(0, d, s[o[p]:][:len(d)], c[p])
+	}
 }
 
 // addSource adds the source term, when there is one, to the row d at flat
@@ -302,10 +334,9 @@ func (op *Op) addSource(d []float64, off int) {
 	}
 }
 
-// mul sets d[i] = c·s[i] for i ≥ k (vec.Mul).
-func mul(k int, d, s []float64, c float64) {
-	d = d[k:]
-	s = s[k:][:len(d)]
+// mul sets d[i] = c·s[i].
+func mul(d, s []float64, c float64) {
+	s = s[:len(d)]
 	for i := range d {
 		d[i] = c * s[i]
 	}

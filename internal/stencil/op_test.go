@@ -172,8 +172,10 @@ func TestApplyBoxNoAllocs(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i % 17)
 	}
-	// The big grid's interior takes vec.Star7Box more than one call.
+	// The big grids' interiors take vec.Star7Box and vec.StarBox more than
+	// one call.
 	big := grid.New([]int{20, 30, 135})
+	big2 := grid.New([]int{22, 32, 135})
 	cases := []struct {
 		name string
 		op   *Op
@@ -182,6 +184,7 @@ func TestApplyBoxNoAllocs(t *testing.T) {
 		{"7pt", NewOp(NewStar(3, 1), g), g.Interior(3)},
 		{"7pt-multicall", NewOp(NewStar(3, 1), big), big.Interior(1)},
 		{"generic-s2", NewOp(NewStar(3, 2), g), g.Interior(3)},
+		{"generic-s2-multicall", NewOp(NewStar(3, 2), big2), big2.Interior(2)},
 		{"generic-s3", NewOp(NewStar(3, 3), g), g.Interior(3)},
 		{"banded-7pt", NewBandedOp(NewBandedStar(3, 1), g, NewCoefficients(NewBandedStar(3, 1), g)), g.Interior(3)},
 		{"banded-s2", NewBandedOp(NewBandedStar(3, 2), g, NewCoefficients(NewBandedStar(3, 2), g)), g.Interior(3)},

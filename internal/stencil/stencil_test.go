@@ -171,13 +171,12 @@ func TestApply7ptMatchesOracle(t *testing.T) {
 	checkRowsAgainstOracle(t, NewOp(s, randomGrid(r, []int{5, 5, 135})), nil)
 }
 
-// An interior of 18·28·133 cells, above boxCells, takes ApplyBox two
-// vec.Star7Box calls: 17 planes, then 1.
-func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	s := NewStarWithCoeffs(3, 1, []float64{0.4, 0.1, 0.05, 0.15, 0.1, 0.12, 0.08})
-	op := NewOp(s, randomGrid(r, []int{20, 30, 135}))
-	interior := op.G.Interior(1)
+// checkAcrossCalls checks op over its whole interior, which must exceed
+// boxCells, so that ApplyBox makes more than one call, without and then
+// with a source term.
+func checkAcrossCalls(t *testing.T, op *Op) {
+	t.Helper()
+	interior := op.G.Interior(op.St.Order)
 	if interior.Size() <= boxCells {
 		t.Fatalf("interior of %d cells fits one call", interior.Size())
 	}
@@ -185,6 +184,7 @@ func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
 	for i := range src {
 		src[i] = math.Sin(float64(i))
 	}
+	defer op.SetSource(nil)
 	for _, g := range [][]float64{nil, src} {
 		op.SetSource(g)
 		if msg := oracleMismatch(op, nil, interior); msg != "" {
@@ -193,12 +193,29 @@ func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
 	}
 }
 
+// An interior of 18·28·133 cells, above boxCells, takes ApplyBox two
+// vec.Star7Box calls: 17 planes, then 1.
+func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	s := NewStarWithCoeffs(3, 1, []float64{0.4, 0.1, 0.05, 0.15, 0.1, 0.12, 0.08})
+	checkAcrossCalls(t, NewOp(s, randomGrid(r, []int{20, 30, 135})))
+}
+
+// The boxes here span 3 planes of 3 rows, so each vec.StarBox call crosses
+// rows and planes.
 func TestApplyGenericMatchesOracleHighOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, order := range []int{2, 3} {
-		g := randomGrid(r, []int{2*order + 2, 2*order + 1, 2*order + 133})
+		g := randomGrid(r, []int{2*order + 3, 2*order + 3, 2*order + 133})
 		checkRowsAgainstOracle(t, NewOp(NewStar(3, order), g), nil)
 	}
+}
+
+// An order-2 interior of 18·28·131 cells, above boxCells, takes ApplyBox
+// two vec.StarBox calls: 17 planes, then 1.
+func TestApplyGenericMatchesOracleAcrossCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	checkAcrossCalls(t, NewOp(NewStar(3, 2), randomGrid(r, []int{22, 32, 135})))
 }
 
 func TestApplyBandedMatchesOracle(t *testing.T) {
@@ -251,14 +268,14 @@ func TestApplyParityAlternation(t *testing.T) {
 	}
 }
 
-// Property: for random shapes and orders, with a unit-stride interior of
-// 1 to 130 cells, the generic kernel matches the point oracle exactly on a
-// random sub-box.
+// Property: for random shapes and orders 1 to 3, with a unit-stride
+// interior of 1 to 130 cells, the generic kernel matches the point oracle
+// exactly on a random sub-box. In 3D, order 1 runs the 7-point kernel.
 func TestGenericKernelProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nd := 1 + r.Intn(3)
-		order := 1 + r.Intn(2)
+		order := 1 + r.Intn(3)
 		dims := make([]int, nd)
 		for k := range dims {
 			dims[k] = 2*order + 1 + r.Intn(3)

@@ -2,13 +2,14 @@
 // peak-FLOPS loop, and the CPU probe that selects it once, when the program
 // starts.
 //
-// Star7Box runs the constant 7-point star over a whole box of rows, tails
-// included, and reports whether it ran. Mul and MulAdd compute a prefix of
-// their output row d, a multiple of 4 cells, and return the prefix length;
-// the caller's Go loop finishes the row. A Go loop is also the reference
-// every routine matches bit for bit. Without AVX2 (another architecture, or
-// a CPU or OS without it) no routine writes anything, and the Go loops do
-// all the work.
+// Star7Box and StarBox run a constant-coefficient star over a whole box of
+// rows, tails included, and report whether they ran: Star7Box the 7-point
+// star, StarBox a star of any points and offsets. MulAdd computes a prefix
+// of its output row d, a multiple of 4 cells, and returns the prefix
+// length; the caller's Go loop finishes the row. A Go loop is also the
+// reference every routine matches bit for bit. Without AVX2 (another
+// architecture, or a CPU or OS without it) no routine writes anything, and
+// the Go loops do all the work.
 //
 // The routines multiply and add in the order of the Go expression they
 // stand for, with one multiply per product and one add per sum: VMULPD and
@@ -16,10 +17,12 @@
 // never use FMA: a fused multiply-add rounds once where the Go loop rounds
 // twice, so its results would differ in the last bit.
 //
-// The assembly does no bounds checks. Mul and MulAdd read len(d) cells of
-// s, and their callers slice each range to exactly len(d) before the call,
-// so a bad row panics in Go before any assembly runs. Star7Box checks its
-// shape against the lengths of d and s itself, and panics on a mismatch.
+// The assembly does no bounds checks. MulAdd reads len(d) cells of s, and
+// its callers slice each range to exactly len(d) before the call, so a bad
+// row panics in Go before any assembly runs. Star7Box and StarBox check
+// their shape against the lengths of d and s themselves, and panic on a
+// mismatch. StarBox's d and s must not overlap: it writes a row's last
+// cells more than once and reads s throughout.
 package vec
 
 import "fmt"
@@ -33,8 +36,8 @@ func Kernel() string {
 	return "go"
 }
 
-// Box is the shape of a 3D box of cells for Star7Box: Planes × Rows rows of
-// N cells, rows SY cells apart and planes SZ cells apart.
+// Box is the shape of a 3D box of cells for Star7Box and StarBox: Planes ×
+// Rows rows of N cells, rows SY cells apart and planes SZ cells apart.
 type Box struct {
 	N, Rows, Planes int
 	SY, SZ          int
@@ -61,7 +64,7 @@ type Box struct {
 // The runtime cannot preempt the call, so callers should keep boxes small
 // enough to finish in well under a millisecond.
 func Star7Box(d, s []float64, b *Box, c *[7]float64) bool {
-	if !b.fits(len(d), len(s)) {
+	if b.SZ > len(s)/2 || !b.fits(len(d), len(s), 2*b.SZ) {
 		panic(fmt.Sprintf("vec: Star7Box shape %+v on %d and %d cells", *b, len(d), len(s)))
 	}
 	if !hasAVX2 {
@@ -71,32 +74,76 @@ func Star7Box(d, s []float64, b *Box, c *[7]float64) bool {
 	return true
 }
 
+// StarBox runs a constant-coefficient star of len(o) points over box b and
+// reports whether it ran; without AVX2 it writes nothing and returns false.
+//
+// d starts at the box's first cell, and s reach cells earlier, where reach
+// is the distance from a cell to its star's lowest point. o holds each
+// point's offset plus reach, so every o[p] is at least 0. Every cell d[j]
+// of the box is set to
+//
+//	c[0]·s[j+o[0]] + c[1]·s[j+o[1]] + … + c[P−1]·s[j+o[P−1]],
+//
+// summed left to right, in point order. Cells between the rows and planes
+// of the box are left as they are. d and s must not overlap: a row whose
+// length is not a multiple of 4 has its last cells written twice, from s.
+//
+// The shape must have 1 ≤ SY ≤ SZ and N, Rows and Planes at least 1; o
+// and c must have the same length, at least 1, and every o[p] must lie in
+// [0, len(s)); and d and s must reach the box's last cell and that cell's
+// highest point: len(d) ≥ b.Span() and len(s) ≥ b.Span() + max(o).
+// StarBox panics otherwise.
+//
+// The runtime cannot preempt the call, so callers should keep boxes small
+// enough to finish in well under a millisecond.
+func StarBox(d, s []float64, b *Box, o []int, c []float64) bool {
+	extra := -1
+	if len(o) == len(c) {
+		extra = maxOffset(o, len(s))
+	}
+	if !b.fits(len(d), len(s), extra) {
+		panic(fmt.Sprintf("vec: StarBox shape %+v on %d and %d cells, %d offsets, %d coefficients",
+			*b, len(d), len(s), len(o), len(c)))
+	}
+	if !hasAVX2 {
+		return false
+	}
+	starBox(d, s, b, o, c)
+	return true
+}
+
+// maxOffset returns the largest offset in o, or −1 if o is empty or an
+// offset falls outside an s of ns cells.
+func maxOffset(o []int, ns int) int {
+	m := -1
+	for _, v := range o {
+		if v < 0 || v >= ns {
+			return -1
+		}
+		m = max(m, v)
+	}
+	return m
+}
+
 // fits reports whether the shape is valid and its box fits in a d of nd
-// cells and an s of ns cells.
-func (b *Box) fits(nd, ns int) bool {
-	if b.N < 1 || b.Rows < 1 || b.Planes < 1 || b.SY < 1 || b.SZ < b.SY {
+// cells and an s of ns cells, where s needs extra cells more than d. A
+// negative extra fits nothing.
+func (b *Box) fits(nd, ns, extra int) bool {
+	if b.N < 1 || b.Rows < 1 || b.Planes < 1 || b.SY < 1 || b.SZ < b.SY || extra < 0 {
 		return false
 	}
 	// Bounding each term of the span by nd first keeps the sum from
 	// overflowing.
-	if b.N > nd || b.Rows-1 > nd/b.SY || b.Planes-1 > nd/b.SZ || b.SZ > ns/2 {
+	if b.N > nd || b.Rows-1 > nd/b.SY || b.Planes-1 > nd/b.SZ {
 		return false
 	}
 	end := b.Span()
-	return end <= nd && end <= ns-2*b.SZ
+	return end <= nd && end <= ns-extra
 }
 
 // Span returns the number of cells from the box's first cell to just past
 // its last: (Planes−1)·SZ + (Rows−1)·SY + N.
 func (b *Box) Span() int { return (b.Planes-1)*b.SZ + (b.Rows-1)*b.SY + b.N }
-
-// Mul sets d[i] = c·s[i] on a prefix of d and returns its length.
-func Mul(d, s []float64, c float64) int {
-	if !hasAVX2 {
-		return 0
-	}
-	return mul(d, s, c)
-}
 
 // MulAdd sets d[i] = d[i] + c·s[i] on a prefix of d and returns its length.
 func MulAdd(d, s []float64, c float64) int {

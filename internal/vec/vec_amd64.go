@@ -11,7 +11,7 @@ func cpuHasAVX2() bool
 func star7Box(d, s []float64, b *Box, c *[7]float64)
 
 //go:noescape
-func mul(d, s []float64, c float64) int
+func starBox(d, s []float64, b *Box, o []int, c []float64)
 
 //go:noescape
 func mulAdd(d, s []float64, c float64) int

@@ -1,9 +1,8 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// mul and mulAdd walk their rows 4 cells at a time with the cell index in
-// AX, up to CX = len(d) rounded down to a multiple of 4, and return CX. DI
-// holds d.
+// mulAdd walks its row 4 cells at a time with the cell index in AX, up to
+// CX = len(d) rounded down to a multiple of 4, and returns CX. DI holds d.
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -146,26 +145,154 @@ stest:
 	VZEROUPPER
 	RET
 
-// func mul(d, s []float64, c float64) int
-TEXT ·mul(SB), NOSPLIT, $0-64
-	MOVQ         d_base+0(FP), DI
-	MOVQ         d_len+8(FP), CX
-	ANDQ         $-4, CX
-	MOVQ         s_base+24(FP), SI
-	VBROADCASTSD c+48(FP), Y0
-	XORQ         AX, AX
-	JMP          test
+// func starBox(d, s []float64, b *Box, o []int, c []float64)
+//
+// The box's cells are numbered j = p·SZ + r·SY + i from its first cell, and
+// AX runs over them. DI holds d, SI s, R15 the offsets o, R12 the
+// coefficients c and R11 their count. R10 holds the current row's first
+// cell, CX the cell just past its last, R9 the rows left in the plane, DX
+// the planes left, and R13 b. For a group of cells starting at AX, R14
+// holds &s[AX], R8 counts the points, BX holds o[p] (in a 16-cell group,
+// &s[AX+o[p]], the base of the point's four loads), and Y0 the point's
+// broadcast coefficient. Each cell's products are summed in point order:
+// 16 cells at a time in Y4–Y7, with Y8–Y11 as scratch, then 4 at a time
+// in Y4, then, in rows shorter than 4 cells, one at a time in X4.
+TEXT ·starBox(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ s_base+24(FP), SI
+	MOVQ b+48(FP), R13
+	MOVQ o_base+56(FP), R15
+	MOVQ o_len+64(FP), R11
+	MOVQ c_base+80(FP), R12
+	XORQ R10, R10
+	MOVQ Box_Planes(R13), DX
 
-loop:
-	VMULPD  (SI)(AX*8), Y0, Y1
-	VMOVUPD Y1, (DI)(AX*8)
+plane:
+	MOVQ Box_Rows(R13), R9
+
+row:
+	MOVQ R10, AX
+	MOVQ Box_N(R13), CX
+	ADDQ R10, CX
+	CMPQ Box_N(R13), $4
+	JLT  scalar
+
+g16test:
+	LEAQ 16(AX), BX
+	CMPQ BX, CX
+	JGT  g4test
+
+	// A group: the first point's products, then each further point's
+	// added.
+	LEAQ         (SI)(AX*8), R14
+	MOVQ         (R15), BX
+	LEAQ         (R14)(BX*8), BX
+	VBROADCASTSD (R12), Y0
+	VMULPD       (BX), Y0, Y4
+	VMULPD       32(BX), Y0, Y5
+	VMULPD       64(BX), Y0, Y6
+	VMULPD       96(BX), Y0, Y7
+	MOVQ         $1, R8
+	JMP          p16test
+
+p16:
+	MOVQ         (R15)(R8*8), BX
+	LEAQ         (R14)(BX*8), BX
+	VBROADCASTSD (R12)(R8*8), Y0
+	VMULPD       (BX), Y0, Y8
+	VMULPD       32(BX), Y0, Y9
+	VMULPD       64(BX), Y0, Y10
+	VMULPD       96(BX), Y0, Y11
+	VADDPD       Y8, Y4, Y4
+	VADDPD       Y9, Y5, Y5
+	VADDPD       Y10, Y6, Y6
+	VADDPD       Y11, Y7, Y7
+	INCQ         R8
+
+p16test:
+	CMPQ    R8, R11
+	JLT     p16
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	VMOVUPD Y6, 64(DI)(AX*8)
+	VMOVUPD Y7, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     g16test
+
+g4test:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  tail
+
+g4:
+	LEAQ         (SI)(AX*8), R14
+	MOVQ         (R15), BX
+	VBROADCASTSD (R12), Y0
+	VMULPD       (R14)(BX*8), Y0, Y4
+	MOVQ         $1, R8
+	JMP          p4test
+
+p4:
+	MOVQ         (R15)(R8*8), BX
+	VBROADCASTSD (R12)(R8*8), Y0
+	VMULPD       (R14)(BX*8), Y0, Y8
+	VADDPD       Y8, Y4, Y4
+	INCQ         R8
+
+p4test:
+	CMPQ    R8, R11
+	JLT     p4
+	VMOVUPD Y4, (DI)(AX*8)
 	ADDQ    $4, AX
+	JMP     g4test
 
-test:
+	// The row's last n mod 4 cells: one more group over its last 4
+	// cells, which computes the cells before them again from the same
+	// inputs, to the same bits. After it AX = CX.
+tail:
 	CMPQ AX, CX
-	JLT  loop
+	JGE  next
+	LEAQ -4(CX), AX
+	JMP  g4
+
+	// A row of fewer than 4 cells, one cell at a time.
+scalar:
+	CMPQ   AX, CX
+	JGE    next
+	LEAQ   (SI)(AX*8), R14
+	MOVQ   (R15), BX
+	VMOVSD (R12), X0
+	VMULSD (R14)(BX*8), X0, X4
+	MOVQ   $1, R8
+	JMP    p1test
+
+p1:
+	MOVQ   (R15)(R8*8), BX
+	VMOVSD (R12)(R8*8), X0
+	VMULSD (R14)(BX*8), X0, X8
+	VADDSD X8, X4, X4
+	INCQ   R8
+
+p1test:
+	CMPQ   R8, R11
+	JLT    p1
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	JMP    scalar
+
+	// Next row; after the plane's last, back to its first row and on to
+	// the next plane.
+next:
+	ADDQ  Box_SY(R13), R10
+	DECQ  R9
+	JNZ   row
+	MOVQ  Box_Rows(R13), CX
+	IMULQ Box_SY(R13), CX
+	SUBQ  CX, R10
+	ADDQ  Box_SZ(R13), R10
+	DECQ  DX
+	JNZ   plane
 	VZEROUPPER
-	MOVQ CX, ret+56(FP)
 	RET
 
 // func mulAdd(d, s []float64, c float64) int
