@@ -285,6 +285,31 @@ func writeOut(path string, stdout io.Writer, f func(io.Writer) error) error {
 	return out.Close()
 }
 
+// sinRows is the row fill of the reproducible, spatially varying initial
+// condition Σₖ sin(0.17·pt[k] + k) over dims. It reads one table of sines
+// per dimension and sums from 0 in dimension order, so every cell has the
+// bits of the sum taken cell by cell.
+func sinRows(dims []int) func(pt []int, row []float64) {
+	sines := make([][]float64, len(dims))
+	for k, d := range dims {
+		sines[k] = make([]float64, d)
+		for c := range sines[k] {
+			sines[k][c] = math.Sin(float64(c)*0.17 + float64(k))
+		}
+	}
+	last := len(dims) - 1
+	return func(pt []int, row []float64) {
+		v := 0.0
+		for k, c := range pt[:last] {
+			v += sines[k][c]
+		}
+		s := sines[last][:len(row)]
+		for i := range row {
+			row[i] = v + s[i]
+		}
+	}
+}
+
 // run builds a solver with the reproducible initial condition (banded
 // solvers keep the normalized Jacobi weights they start with) and hands
 // the spec to the one Execute entrypoint — no per-flag-combination
@@ -294,14 +319,7 @@ func run(ctx context.Context, cfg nustencil.Config, spec nustencil.RunSpec) (*nu
 	if err != nil {
 		return nil, 0, err
 	}
-	// A reproducible, spatially varying initial condition.
-	s.SetInitial(func(pt []int) float64 {
-		v := 0.0
-		for k, c := range pt {
-			v += math.Sin(float64(c)*0.17 + float64(k))
-		}
-		return v
-	})
+	s.SetInitialRows(sinRows(cfg.Dims))
 	out, err := s.Execute(ctx, spec)
 	if err != nil {
 		return nil, 0, err

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nustencil"
+	"nustencil/internal/grid"
 )
 
 // TestRunJSONExport drives the tool end to end on a small 7-point/4-worker
@@ -313,5 +317,29 @@ func TestCounterOutputs(t *testing.T) {
 	}
 	if rdoc.Bottleneck == nil || rdoc.Bottleneck.Binding != cdoc.Attribution.Binding {
 		t.Errorf("report JSON bottleneck = %+v, want binding %q", rdoc.Bottleneck, cdoc.Attribution.Binding)
+	}
+}
+
+// sinRows fills every cell with the bits of the per-cell sum
+// Σₖ sin(0.17·pt[k] + k), on 1D to 4D grids.
+func TestSinRowsMatchesPerCellSum(t *testing.T) {
+	for _, dims := range [][]int{{9}, {5, 7}, {3, 130}, {4, 5, 6}, {3, 4, 5, 6}} {
+		s, err := nustencil.NewSolver(nustencil.Config{Dims: dims})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetInitialRows(sinRows(dims))
+		g := grid.New(dims)
+		pt := make([]int, len(dims))
+		for i, got := range s.Export(nil) {
+			g.Coords(i, pt)
+			want := 0.0
+			for k, c := range pt {
+				want += math.Sin(float64(c)*0.17 + float64(k))
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dims %v: cell %v holds %v, want %v", dims, pt, got, want)
+			}
+		}
 	}
 }

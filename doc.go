@@ -33,6 +33,11 @@
 //	solver.SetInitial(func(pt []int) float64 { ... })
 //	report, err := solver.Run()
 //
+// SetInitial calls its function once per cell. SetInitialRows is the same
+// fill for fields that can compute a whole unit-stride row at once: one
+// call per row, with the coordinates of the row's first cell and the row's
+// cells to set.
+//
 // Run is the convenience form of Execute, the solver's one execution entry
 // point: a RunSpec selects the timestep count and what to collect (trace,
 // rendered timeline, simulated performance counters), a RunOutput carries

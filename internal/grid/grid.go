@@ -152,20 +152,41 @@ func (g *Grid) FillFunc(f func(pt []int) float64) {
 // the grid's length. The walk keeps its position apart from pt and copies it
 // in before every call, so f may change pt freely.
 func (g *Grid) Tabulate(dst []float64, f func(pt []int) float64) {
+	last := len(g.dims) - 1
+	pt := make([]int, len(g.dims))
+	g.TabulateRows(dst, func(start []int, row []float64) {
+		for i := range row {
+			// A loop, not copy: a memmove call per cell made the whole walk
+			// about twice as slow.
+			for k, c := range start {
+				pt[k] = c
+			}
+			pt[last] = i
+			row[i] = f(pt)
+		}
+	})
+}
+
+// TabulateRows calls f once per unit-stride row of dst, in row-major order,
+// to fill that row: pt holds the coordinates of the row's first cell (its
+// last coordinate is 0), and row is the row's cells, its capacity clipped to
+// the row. dst must have the grid's length. The walk keeps its position
+// apart from pt and copies it in before every call, so f may change pt
+// freely.
+func (g *Grid) TabulateRows(dst []float64, f func(pt []int, row []float64)) {
 	if len(dst) != g.n {
 		panic(fmt.Sprintf("grid: Tabulate into %d cells, grid has %d", len(dst), g.n))
 	}
-	at := make([]int, len(g.dims))
-	pt := make([]int, len(g.dims))
-	for i := range dst {
-		// A loop, not copy: a memmove call per cell made the whole walk
-		// about twice as slow.
-		for k, c := range at {
-			pt[k] = c
-		}
-		dst[i] = f(pt)
-		// Advance the odometer, the unit-stride dimension fastest.
-		for k := len(at) - 1; k >= 0; k-- {
+	nd := len(g.dims)
+	n := g.dims[nd-1]
+	at := make([]int, nd)
+	pt := make([]int, nd)
+	for i := 0; i < len(dst); i += n {
+		copy(pt, at)
+		f(pt, dst[i:i+n:i+n])
+		// Advance the odometer over the outer dimensions, the innermost
+		// fastest.
+		for k := nd - 2; k >= 0; k-- {
 			if at[k]++; at[k] < g.dims[k] {
 				break
 			}

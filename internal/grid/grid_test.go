@@ -109,6 +109,65 @@ func TestTabulateMatchesCoordsWalk(t *testing.T) {
 	}
 }
 
+// TabulateRows calls f once per unit-stride row, in row-major order, with pt
+// at the row's first cell and row the row's cells, its capacity clipped to
+// the row, even when f overwrites the pt it is given. A 1D grid is one row.
+func TestTabulateRows(t *testing.T) {
+	for _, dims := range [][]int{{7}, {1, 5}, {3, 4}, {2, 3, 4}, {2, 1, 3, 2}} {
+		g := New(dims)
+		last := len(dims) - 1
+		n := dims[last]
+		dst := make([]float64, g.Len())
+		calls := 0
+		g.TabulateRows(dst, func(pt []int, row []float64) {
+			if len(row) != n || cap(row) != n {
+				t.Fatalf("dims %v: row %d has len %d cap %d, want %d", dims, calls, len(row), cap(row), n)
+			}
+			want := make([]int, len(dims))
+			g.Coords(calls*n, want)
+			for k := range pt {
+				if pt[k] != want[k] {
+					t.Fatalf("dims %v: row %d starts at %v, want %v", dims, calls, pt, want)
+				}
+			}
+			for i := range row {
+				row[i] = float64(calls*n + i)
+			}
+			for k := range pt {
+				pt[k] = -1 - k
+			}
+			calls++
+		})
+		if calls != g.Len()/n {
+			t.Fatalf("dims %v: %d calls, want %d rows", dims, calls, g.Len()/n)
+		}
+		for i, v := range dst {
+			if v != float64(i) {
+				t.Fatalf("dims %v: cell %d holds %v", dims, i, v)
+			}
+		}
+	}
+}
+
+func TestTabulateLengthPanics(t *testing.T) {
+	g := New([]int{3, 4})
+	for name, tab := range map[string]func([]float64){
+		"Tabulate":     func(d []float64) { g.Tabulate(d, func([]int) float64 { return 0 }) },
+		"TabulateRows": func(d []float64) { g.TabulateRows(d, func([]int, []float64) {}) },
+	} {
+		for _, n := range []int{11, 13} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s into %d cells of a 12-cell grid did not panic", name, n)
+					}
+				}()
+				tab(make([]float64, n))
+			}()
+		}
+	}
+}
+
 func TestForEachRowCoversBoxExactlyOnce(t *testing.T) {
 	g := New([]int{5, 6, 7})
 	b := NewBox([]int{1, 2, 3}, []int{4, 5, 6})

@@ -50,8 +50,8 @@ type Op struct {
 // SetPeriodic switches the kernel between Dirichlet boundaries (the
 // default: a fixed ring of width Order, updates clipped to the interior)
 // and periodic boundaries (every cell updates, neighbour indices wrap).
-// With periodic boundaries rows within reach of a seam take a slower
-// modular-indexing path; interior rows keep the fast kernels.
+// With periodic boundaries the cells within reach of a seam take a slower
+// modular-indexing path; the other cells keep the fast kernels.
 func (op *Op) SetPeriodic(periodic bool) {
 	op.periodic = periodic
 	if periodic && op.points == nil {
@@ -256,8 +256,9 @@ func (op *Op) row(src, dst []float64, off, n int) {
 // Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
 // through the internal/vec assembly, "go" when the Go loops run alone: on a
 // host without AVX2, for banded stencils, and on grids beyond
-// grid.MaxRowDims. Periodic seam rows take the Go modular-indexing path
-// either way.
+// grid.MaxRowDims. With periodic boundaries the cells within Order of any
+// seam take the Go modular-indexing path either way, and the other cells
+// run the named kernel.
 func (op *Op) Kernel() string {
 	if op.vc != nil || op.G.NumDims() > grid.MaxRowDims {
 		return "go"
@@ -411,10 +412,11 @@ func (op *Op) rowBanded7(src, dst []float64, off, n int) {
 	}
 }
 
-// applyPeriodic handles wrapped boundaries: rows out of reach of every seam
-// use the fast row kernels directly (no per-row box construction); seam rows
-// compute wrapped neighbour indices per point. The coordinate scratch lives
-// on the stack, reused across rows.
+// applyPeriodic handles wrapped boundaries. A row whose other coordinates
+// are all at least Order from their seams runs its middle, the cells at
+// least Order from the unit-stride seams, through the row kernel, and only
+// its ends through wrapCells; every other row runs wrapCells throughout. The
+// coordinate scratch lives on the stack, reused across rows.
 func (op *Op) applyPeriodic(b grid.Box, src, dst []float64) int64 {
 	s := op.St.Order
 	nd := op.G.NumDims()
@@ -427,49 +429,56 @@ func (op *Op) applyPeriodic(b grid.Box, src, dst []float64) int64 {
 		off, n := it.Offset(), it.Length()
 		updates += int64(n)
 		it.Start(pt)
-		// A row is seam-free when every non-unit coordinate is at least s
-		// from both edges and the row (extended by s along the unit-stride
-		// dimension) stays in bounds.
-		interior := pt[last]-s >= 0 && pt[last]+n-1+s < dims[last]
-		for k := 0; k < last && interior; k++ {
-			if pt[k] < s || pt[k] >= dims[k]-s {
-				interior = false
-			}
+		x0, x1 := pt[last], pt[last]+n
+		// [lo, hi) is the run of the row the row kernel takes, empty unless
+		// the row is clear of every other seam.
+		lo, hi := x1, x1
+		free := true
+		for k := 0; k < last && free; k++ {
+			free = pt[k] >= s && pt[k] < dims[k]-s
 		}
-		if interior {
-			op.row(src, dst, off, n)
-			continue
+		if a, z := max(x0, s), min(x1, dims[last]-s); free && a < z {
+			lo, hi = a, z
+			op.row(src, dst, off+lo-x0, hi-lo)
 		}
-		gsrc := op.source
-		x0 := pt[last]
-		for i := 0; i < n; i++ {
-			pt[last] = x0 + i
-			acc := 0.0
-			centre := off + i
-			for p, offc := range op.points {
-				idx := 0
-				for k := 0; k < nd; k++ {
-					c := pt[k] + offc[k]
-					if c < 0 {
-						c += dims[k]
-					} else if c >= dims[k] {
-						c -= dims[k]
-					}
-					idx += c * op.G.Stride(k)
-				}
-				if op.vc != nil {
-					acc += op.vc.Data[p][centre] * src[idx]
-				} else {
-					acc += op.coeffs[p] * src[idx]
-				}
-			}
-			if gsrc != nil {
-				acc += gsrc[centre]
-			}
-			dst[centre] = acc
-		}
+		op.wrapCells(src, dst, pt, off-x0, x0, lo)
+		op.wrapCells(src, dst, pt, off-x0, hi, x1)
 	}
 	return updates
+}
+
+// wrapCells updates the cells from ≤ x < to of the row through pt, whose
+// cell x sits at flat offset base+x, computing every neighbour's wrapped
+// coordinates per point. It sets pt's last coordinate as it goes.
+func (op *Op) wrapCells(src, dst []float64, pt []int, base, from, to int) {
+	nd := len(pt)
+	dims := op.dims
+	for x := from; x < to; x++ {
+		pt[nd-1] = x
+		acc := 0.0
+		centre := base + x
+		for p, offc := range op.points {
+			idx := 0
+			for k := 0; k < nd; k++ {
+				c := pt[k] + offc[k]
+				if c < 0 {
+					c += dims[k]
+				} else if c >= dims[k] {
+					c -= dims[k]
+				}
+				idx += c * op.G.Stride(k)
+			}
+			if op.vc != nil {
+				acc += op.vc.Data[p][centre] * src[idx]
+			} else {
+				acc += op.coeffs[p] * src[idx]
+			}
+		}
+		if op.source != nil {
+			acc += op.source[centre]
+		}
+		dst[centre] = acc
+	}
 }
 
 // applySlow is the closure-based fallback for grids beyond grid.MaxRowDims,
@@ -482,39 +491,13 @@ func (op *Op) applySlow(b grid.Box, src, dst []float64) int64 {
 	}
 	var updates int64
 	if op.periodic {
-		nd := op.G.NumDims()
-		dims := op.dims
-		last := nd - 1
-		pt := make([]int, nd)
+		last := op.G.NumDims() - 1
+		pt := make([]int, last+1)
 		op.G.ForEachRow(bb, func(off, length int, start []int) {
 			updates += int64(length)
 			copy(pt, start)
-			for i := 0; i < length; i++ {
-				pt[last] = start[last] + i
-				acc := 0.0
-				centre := off + i
-				for p, offc := range op.points {
-					idx := 0
-					for k := 0; k < nd; k++ {
-						c := pt[k] + offc[k]
-						if c < 0 {
-							c += dims[k]
-						} else if c >= dims[k] {
-							c -= dims[k]
-						}
-						idx += c * op.G.Stride(k)
-					}
-					if op.vc != nil {
-						acc += op.vc.Data[p][centre] * src[idx]
-					} else {
-						acc += op.coeffs[p] * src[idx]
-					}
-				}
-				if op.source != nil {
-					acc += op.source[centre]
-				}
-				dst[centre] = acc
-			}
+			x0 := start[last]
+			op.wrapCells(src, dst, pt, off-x0, x0, x0+length)
 		})
 		return updates
 	}

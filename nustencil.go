@@ -330,10 +330,17 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.Workers < 1 {
 		return nil, errors.New("nustencil: workers must be positive")
 	}
+	if cfg.Order < 1 {
+		return nil, fmt.Errorf("nustencil: order %d must be positive", cfg.Order)
+	}
 	for _, d := range cfg.Dims {
-		if d < 2*cfg.Order+1 {
+		// d < 2·Order+1, written so that no Order can overflow it.
+		if d < 1 || (d-1)/2 < cfg.Order {
 			return nil, fmt.Errorf("nustencil: dimension %d too small for order %d", d, cfg.Order)
 		}
+	}
+	if np := 1 + 2*len(cfg.Dims)*cfg.Order; !cfg.Banded && cfg.Coeffs != nil && len(cfg.Coeffs) != np {
+		return nil, fmt.Errorf("nustencil: %d coefficients for a %d-point star", len(cfg.Coeffs), np)
 	}
 	if cfg.Periodic && cfg.Scheme != Naive {
 		return nil, fmt.Errorf("nustencil: periodic boundaries require the Naive scheme, got %s", cfg.Scheme)
@@ -376,6 +383,15 @@ func NewSolver(cfg Config) (*Solver, error) {
 // SetInitial initializes every cell (and the fixed boundary) from f, which
 // it calls once per cell in row-major order.
 func (s *Solver) SetInitial(f func(pt []int) float64) { s.g.FillFunc(f) }
+
+// SetInitialRows is SetInitial for fills that can compute a whole row at
+// once. It calls f once per unit-stride row (the last dimension), in
+// row-major order: pt holds the coordinates of the row's first cell, so its
+// last coordinate is 0, and f sets every cell of row. f may change pt.
+func (s *Solver) SetInitialRows(f func(pt []int, row []float64)) {
+	s.g.TabulateRows(s.g.Buf(0), f)
+	copy(s.g.Buf(1), s.g.Buf(0))
+}
 
 // SetCoefficients initializes the per-cell coefficients of a banded solver:
 // f(point, pt) returns the coefficient of stencil point index point (0 is

@@ -14,14 +14,33 @@ func TestNewSolverValidation(t *testing.T) {
 		{Dims: []int{2, 8}, Timesteps: 1},  // dim too small for order 1
 		{Dims: []int{8, 8}, Timesteps: 1, Scheme: "bogus"},
 		{Dims: []int{8, 8}, Timesteps: 1, Workers: -2},
+		// Orders that are negative, too large for the grid, or large enough
+		// that 2·Order+1 wraps.
+		{Dims: []int{8, 8}, Order: -1},
+		{Dims: []int{8, 8}, Order: math.MinInt},
+		{Dims: []int{8, 9}, Order: 4},
+		{Dims: []int{8, 8}, Order: math.MaxInt/2 + 1},
+		{Dims: []int{8, 8}, Order: math.MaxInt},
+		// Coefficient counts that do not match the star's points.
+		{Dims: []int{8, 8}, Coeffs: []float64{}},
+		{Dims: []int{8, 8}, Coeffs: []float64{0.5, 0.5}},
+		{Dims: []int{8, 8}, Order: 2, Coeffs: []float64{0.2, 0.2, 0.2, 0.2, 0.2}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSolver(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := NewSolver(Config{Dims: []int{8, 8, 8}, Timesteps: 3}); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	good := []Config{
+		{Dims: []int{8, 8, 8}, Timesteps: 3},
+		{Dims: []int{9, 9}, Order: 4},
+		{Dims: []int{8, 8}, Coeffs: []float64{0.2, 0.2, 0.2, 0.2, 0.2}},
+		{Dims: []int{8, 8}, Banded: true, Coeffs: []float64{1}}, // Coeffs ignored
+	}
+	for i, cfg := range good {
+		if _, err := NewSolver(cfg); err != nil {
+			t.Errorf("good config %d rejected: %v", i, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -73,6 +74,22 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return c
+}
+
+// deadline is the latency budget a job asking for ms milliseconds gets:
+// DefaultDeadline when ms is not positive, and never more than
+// MaxDeadline. It clamps in milliseconds before converting, because
+// time.Duration(ms)·time.Millisecond wraps to a negative budget above
+// about 9.2·10¹² ms.
+func (c Config) deadline(ms int64) time.Duration {
+	d := c.DefaultDeadline
+	if ms > 0 {
+		d = c.MaxDeadline
+		if ms <= c.MaxDeadline.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
+	}
+	return min(d, c.MaxDeadline)
 }
 
 // Quota-rejection errors (HTTP 429).
@@ -215,13 +232,7 @@ func (c *Coordinator) Submit(spec JobSpec) (Job, error) {
 		c.log.Warn("job rejected", "tenant", spec.Tenant, "reason", err.Error())
 		return Job{}, err
 	}
-	deadline := c.cfg.DefaultDeadline
-	if spec.DeadlineMS > 0 {
-		deadline = time.Duration(spec.DeadlineMS) * time.Millisecond
-	}
-	if deadline > c.cfg.MaxDeadline {
-		deadline = c.cfg.MaxDeadline
-	}
+	deadline := c.cfg.deadline(spec.DeadlineMS)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -346,9 +357,7 @@ func (c *Coordinator) run(j *Job) {
 	if remaining := time.Until(j.Deadline); remaining <= 0 {
 		err = fmt.Errorf("deadline expired after %v in queue: %w", j.Started.Sub(j.Submitted).Round(time.Millisecond), context.DeadlineExceeded)
 	} else {
-		ctx, cancel := context.WithDeadline(context.Background(), j.Deadline)
-		out, err = c.cfg.runJob(ctx, j.Spec)
-		cancel()
+		out, err = c.execute(j)
 	}
 
 	now := time.Now()
@@ -396,6 +405,22 @@ func (c *Coordinator) run(j *Job) {
 		}
 	}
 	c.log.Info("job completed", attrs...)
+}
+
+// execute runs the job body under the job's deadline. A panic in it fails
+// only this job: it becomes the job's error, its stack goes to the log, and
+// the executor goes on serving.
+func (c *Coordinator) execute(j *Job) (out *nustencil.RunOutput, err error) {
+	ctx, cancel := context.WithDeadline(context.Background(), j.Deadline)
+	defer cancel()
+	defer func() {
+		if p := recover(); p != nil {
+			c.log.Error("job panicked", "job", j.ID, "tenant", j.Tenant,
+				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			out, err = nil, fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	return c.cfg.runJob(ctx, j.Spec)
 }
 
 // Stop shuts the pool down: no new submissions, running jobs finish,

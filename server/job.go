@@ -11,7 +11,8 @@
 // Isolation is per job by construction: every job gets a fresh Solver,
 // so a job that fails mid-plan (deadline expiry, a panicking kernel)
 // poisons only its own solver (nustencil.ErrPoisoned) and never another
-// tenant's state.
+// tenant's state, and the executor recovers a panic anywhere else in a
+// job's body as that job's failure.
 package server
 
 import (
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"nustencil"
@@ -146,8 +148,9 @@ func RunLocal(ctx context.Context, spec JobSpec) (*nustencil.RunOutput, error) {
 }
 
 // setInitial applies the initial condition init to sol, a fresh solver
-// over dims.
+// over dims, a whole row at a time.
 func setInitial(sol *nustencil.Solver, dims []int, init string) {
+	last := len(dims) - 1
 	switch init {
 	case InitZero:
 		// The fresh grid is already zeroed.
@@ -156,17 +159,15 @@ func setInitial(sol *nustencil.Solver, dims []int, init string) {
 		for k, d := range dims {
 			centre[k] = d / 2
 		}
-		sol.SetInitial(func(pt []int) float64 {
-			for k := range pt {
-				if pt[k] != centre[k] {
-					return 0
-				}
+		sol.SetInitialRows(func(pt []int, row []float64) {
+			clear(row)
+			if slices.Equal(pt[:last], centre[:last]) {
+				row[centre[last]] = 1
 			}
-			return 1
 		})
 	default: // InitSin
 		// Σₖ sin(0.17·pt[k] + k), from one table of sines per dimension,
-		// summed in dimension order.
+		// summed from 0 in dimension order, as a per-cell sum would.
 		sines := make([][]float64, len(dims))
 		for k, d := range dims {
 			sines[k] = make([]float64, d)
@@ -174,12 +175,15 @@ func setInitial(sol *nustencil.Solver, dims []int, init string) {
 				sines[k][c] = math.Sin(float64(c)*0.17 + float64(k))
 			}
 		}
-		sol.SetInitial(func(pt []int) float64 {
+		sol.SetInitialRows(func(pt []int, row []float64) {
 			v := 0.0
-			for k, c := range pt {
+			for k, c := range pt[:last] {
 				v += sines[k][c]
 			}
-			return v
+			s := sines[last][:len(row)]
+			for i := range row {
+				row[i] = v + s[i]
+			}
 		})
 	}
 }

@@ -13,9 +13,10 @@ import (
 // cell's value computed at the coordinates Coords gives, with the sines
 // computed per cell, and a banded solver's coefficients then set to 0.5
 // and 0.5/(np−1). The two solvers' checkpoints (state, coefficients,
-// source) must match byte for byte.
+// source) must match byte for byte. The shapes run from 1D to 4D and
+// include long rows and serve-mix's grids.
 func TestSetInitialMatchesCoordsWalk(t *testing.T) {
-	for _, dims := range [][]int{{9}, {5, 7}, {4, 5, 6}} {
+	for _, dims := range [][]int{{9}, {5, 7}, {4, 5, 6}, {3, 4, 5, 6}, {3, 130}, {34, 34, 34}, {50, 50, 50}} {
 		for _, banded := range []bool{false, true} {
 			for _, init := range []string{InitZero, InitPoint, InitSin} {
 				cfg := nustencil.Config{Dims: dims, Banded: banded}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -299,6 +301,121 @@ func TestDeadlineExpiryIsolation(t *testing.T) {
 	}
 	if ten := s.Tenants["bystander"]; ten.Completed != 1 || ten.Failed != 0 {
 		t.Errorf("bystander tenant metrics: %+v", ten)
+	}
+}
+
+// crashSpecs once panicked inside NewSolver on the executor goroutine and
+// took the daemon down with every tenant's jobs: a negative order, an
+// order so large that 2·order+1 wraps, and a coefficient list of the wrong
+// length. All three pass admission.
+var crashSpecs = []string{
+	`{"problem":{"dims":[8,8],"order":-1},"run":{"timesteps":1}}`,
+	fmt.Sprintf(`{"problem":{"dims":[8,8],"order":%d},"run":{"timesteps":1}}`, math.MaxInt/2+1),
+	`{"problem":{"dims":[8,8],"coeffs":[0.5,0.5]},"run":{"timesteps":1}}`,
+}
+
+// TestCrashSpecsFailOnlyTheirJob: each crash spec becomes a failed job,
+// and the server then completes the next one.
+func TestCrashSpecsFailOnlyTheirJob(t *testing.T) {
+	srv := New(Config{Executors: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, body := range crashSpecs {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack submitResponse
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d, %v", body, resp.StatusCode, err)
+		}
+		if doc := pollJob(t, ts, ack.ID); doc.State != Failed || doc.Error == "" {
+			t.Errorf("%s: job ended %s %q, want failed with an error", body, doc.State, doc.Error)
+		}
+	}
+	code, ack, raw := postJob(t, ts, tinySpec("next"))
+	if code != http.StatusAccepted {
+		t.Fatalf("next job: %d %s", code, raw)
+	}
+	if doc := pollJob(t, ts, ack.ID); doc.State != Done {
+		t.Fatalf("next job after the crash specs: %+v", doc)
+	}
+}
+
+// TestPanickingJobFailsAlone: a job body that panics fails its own job,
+// with the panic value in its error, and the one executor goes on to
+// complete the next job.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	srv := New(Config{
+		Executors: 1,
+		runJob: func(ctx context.Context, spec JobSpec) (*nustencil.RunOutput, error) {
+			if spec.Tenant == "crash" {
+				panic("kernel exploded")
+			}
+			return &nustencil.RunOutput{}, nil
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		tenant string
+		state  JobState
+	}{{"crash", Failed}, {"next", Done}} {
+		code, ack, raw := postJob(t, ts, tinySpec(tc.tenant))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: %d %s", tc.tenant, code, raw)
+		}
+		if doc := pollJob(t, ts, ack.ID); doc.State != tc.state {
+			t.Fatalf("%s job: %+v, want %s", tc.tenant, doc, tc.state)
+		}
+	}
+	j := srv.Coordinator().Jobs()[0]
+	if !strings.Contains(j.Err, "kernel exploded") {
+		t.Errorf("panicked job's error %q does not carry the panic value", j.Err)
+	}
+	if s := srv.Coordinator().Metrics().Snapshot(); s.Failed != 1 || s.Completed != 1 {
+		t.Errorf("metrics: failed %d completed %d, want 1 and 1", s.Failed, s.Completed)
+	}
+}
+
+// TestDeadlineClampDoesNotOverflow: deadline_ms values whose
+// time.Duration would wrap negative clamp to MaxDeadline, as every value
+// above it does.
+func TestDeadlineClampDoesNotOverflow(t *testing.T) {
+	c := NewCoordinator(Config{
+		runJob: func(ctx context.Context, spec JobSpec) (*nustencil.RunOutput, error) {
+			return &nustencil.RunOutput{}, nil
+		},
+	})
+	defer c.Stop()
+	const maxDeadline = 10 * time.Minute
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, time.Minute},
+		{-5, time.Minute},
+		{1500, 1500 * time.Millisecond},
+		{maxDeadline.Milliseconds(), maxDeadline},
+		{maxDeadline.Milliseconds() + 1, maxDeadline},
+		{9_223_372_036_854, maxDeadline},
+		{9_223_372_036_855, maxDeadline},
+		{1e13, maxDeadline},
+		{math.MaxInt64, maxDeadline},
+	} {
+		spec := tinySpec("t")
+		spec.DeadlineMS = tc.ms
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Deadline.Sub(j.Submitted); got != tc.want {
+			t.Errorf("deadline_ms %d: Deadline - Submitted = %v, want %v", tc.ms, got, tc.want)
+		}
 	}
 }
 
