@@ -3,6 +3,9 @@ package nustencil
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -251,4 +254,96 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	if err := dst.Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Error("garbage accepted")
 	}
+}
+
+// checkpointFuzzSolver returns a solver of cfg with a seeded random state:
+// grid values and, for a banded cfg, coefficients and a source.
+func checkpointFuzzSolver(tb testing.TB, cfg Config, seed int64) *Solver {
+	tb.Helper()
+	s, err := NewSolver(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	s.SetInitial(func([]int) float64 { return r.Float64() })
+	if cfg.Banded {
+		if err := s.SetCoefficients(func(int, []int) float64 { return r.Float64() / 4 }); err != nil {
+			tb.Fatal(err)
+		}
+		s.SetSource(func([]int) float64 { return r.Float64() - 0.5 })
+	}
+	return s
+}
+
+// loadState is everything a rejected Load must leave as it was. The
+// solvers it is taken from hold finite values, so reflect.DeepEqual
+// compares two states exactly.
+type loadState struct {
+	bufs   [2][]float64 // Export's buffer and the other
+	bands  [][]float64
+	source []float64
+	steps  int
+	err    error
+}
+
+func loadStateOf(s *Solver) loadState {
+	st := loadState{source: slices.Clone(s.source), steps: s.StepsRun(), err: s.Err()}
+	for b := range st.bufs {
+		st.bufs[b] = slices.Clone(s.g.Buf(b))
+	}
+	if s.coeffs != nil {
+		for _, band := range s.coeffs.Data {
+			st.bands = append(st.bands, slices.Clone(band))
+		}
+	}
+	return st
+}
+
+// FuzzCheckpointLoad feeds Load arbitrary bytes, seeded with Save output
+// and truncated and bit-flipped copies of it, in a fresh solver of each of
+// two configurations: 9×9×9 banded with a source, and 12×12 periodic with
+// constant coefficients. Load must never panic. A rejected input must leave
+// both grid buffers, every coefficient band, the source, the step count and
+// the poison state as they were; an accepted one must leave a solver that
+// runs a step. A checkpoint's bands reach the banded kernel's assembly,
+// which trusts the lengths Load checked.
+func FuzzCheckpointLoad(f *testing.F) {
+	configs := []Config{
+		{Dims: []int{9, 9, 9}, Banded: true, Workers: 1},
+		{Dims: []int{12, 12}, Periodic: true, Workers: 1},
+	}
+	for i, cfg := range configs {
+		s := checkpointFuzzSolver(f, cfg, int64(i))
+		if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		cp := buf.Bytes()
+		f.Add(cp)
+		f.Add(cp[:len(cp)/2])
+		f.Add(cp[:len(cp)-1])
+		for _, at := range []int{20, len(cp) / 3, len(cp) * 2 / 3} {
+			flipped := bytes.Clone(cp)
+			flipped[at] ^= 0x40
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, cfg := range configs {
+			s := checkpointFuzzSolver(t, cfg, int64(i)+7)
+			before := loadStateOf(s)
+			if err := s.Load(bytes.NewReader(data)); err != nil {
+				if !reflect.DeepEqual(loadStateOf(s), before) {
+					t.Fatalf("%v: rejected Load (%v) changed the solver", cfg.Dims, err)
+				}
+				continue
+			}
+			if _, err := s.Execute(nil, RunSpec{Timesteps: 1}); err != nil {
+				t.Fatalf("%v: Execute after an accepted Load: %v", cfg.Dims, err)
+			}
+		}
+	})
 }

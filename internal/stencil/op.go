@@ -19,7 +19,7 @@ import (
 // The kernels are written for the memory-bound regime the paper measures:
 // rows are walked with grid.RowIter (no per-row closure dispatch, no
 // allocation), every row a kernel touches is sliced to the row's extent
-// before its loop runs, and the constant-coefficient stars run as AVX2
+// before its loop runs, and the stars, constant and banded, run as AVX2
 // assembly where the CPU has it (internal/vec): on 3D grids a whole box of
 // rows per call, elsewhere one row per call.
 type Op struct {
@@ -31,17 +31,15 @@ type Op struct {
 	vc     *Coefficients
 	source []float64 // optional per-cell additive term
 
-	// For constant stencils: the star's reach below a cell, −min(offs),
-	// and the offsets shifted up by it, all non-negative, as vec.StarBox
-	// takes them.
+	// The star's reach below a cell, −min(offs), and the offsets shifted
+	// up by it, all non-negative, as vec.StarBox and vec.BandBox take them.
 	reach   int
 	shifted []int
 
-	update  grid.Box // cached UpdateRegion, so kernels clip without allocating
-	dims    []int    // cached grid dimensions
-	box3    bool     // 3D constant star: ApplyBox runs whole planes per call
-	is7pt   bool     // 3D first-order star with constant coefficients
-	banded7 bool     // 3D first-order star with variable coefficients
+	update grid.Box // cached UpdateRegion, so kernels clip without allocating
+	dims   []int    // cached grid dimensions
+	box3   bool     // 3D star: ApplyBox runs whole planes per call
+	is7pt  bool     // 3D first-order star with constant coefficients
 
 	periodic bool
 	points   [][]int // coordinate offsets, for the wrapped path
@@ -123,13 +121,8 @@ func NewBandedOp(s *Stencil, g *grid.Grid, c *Coefficients) *Op {
 func (op *Op) finish() {
 	op.update = op.G.Interior(op.St.Order)
 	op.dims = op.G.Dims()
-	star7 := len(op.offs) == 7 && op.G.NumDims() == 3 &&
+	op.is7pt = op.vc == nil && len(op.offs) == 7 && op.G.NumDims() == 3 &&
 		op.offs[5] == -1 && op.offs[6] == 1
-	op.is7pt = star7 && op.vc == nil
-	op.banded7 = star7 && op.vc != nil
-	if op.vc != nil {
-		return
-	}
 	op.box3 = op.G.NumDims() == 3
 	op.reach = -slices.Min(op.offs)
 	op.shifted = make([]int, len(op.offs))
@@ -176,18 +169,20 @@ func (op *Op) ApplyBox(b grid.Box, t int) int64 {
 	return updates
 }
 
-// boxCells bounds the cells of one vec.Star7Box or vec.StarBox call. The
-// runtime cannot preempt assembly, so a call holds up a stop-the-world
-// pause for its whole length; 1<<16 cells of the 7-point star take about
-// 30 µs from cache, and of an order-2 star about three times as long,
-// still well under a millisecond. A call covers whole planes, at least
-// one, so only a plane larger than this makes a longer call.
+// boxCells bounds the cells of one box routine call. The runtime cannot
+// preempt assembly, so a call holds up a stop-the-world pause for its whole
+// length; 1<<16 cells of the 7-point star take about 30 µs from cache, of
+// an order-2 star about three times as long, of the banded 7-point star
+// about 0.2 ms and of the banded order-2 star about 0.4 ms, still under a
+// millisecond. A call covers whole planes, at least one, so only a plane
+// larger than this makes a longer call.
 const boxCells = 1 << 16
 
-// applyStar runs a constant 3D star over b clipped to the update region,
-// with one call per run of whole planes, vec.Star7Box for the 7-point star
-// and vec.StarBox for any other, then adds the source term row by row. It
-// returns false, having written nothing, without AVX2.
+// applyStar runs a 3D star over b clipped to the update region, with one
+// call per run of whole planes: vec.BandBox for a banded star,
+// vec.Star7Box for the constant 7-point star and vec.StarBox for any other.
+// It then adds the source term row by row. It returns false, having
+// written nothing, without AVX2.
 func (op *Op) applyStar(b grid.Box, src, dst []float64) (int64, bool) {
 	if b.NumDims() != 3 {
 		panic("stencil: ApplyBox dimension mismatch")
@@ -211,9 +206,12 @@ func (op *Op) applyStar(b grid.Box, src, dst []float64) (int64, bool) {
 		end := off + shape.Span()
 		d, s := dst[off:end:end], src[off-op.reach:end+op.reach]
 		var ran bool
-		if op.is7pt {
+		switch {
+		case op.vc != nil:
+			ran = vec.BandBox(d, s, &shape, op.shifted, op.vc.Data, off)
+		case op.is7pt:
 			ran = vec.Star7Box(d, s, &shape, (*[7]float64)(op.coeffs))
-		} else {
+		default:
 			ran = vec.StarBox(d, s, &shape, op.shifted, op.coeffs)
 		}
 		if !ran {
@@ -236,8 +234,6 @@ func (op *Op) applyStar(b grid.Box, src, dst []float64) (int64, bool) {
 // that fits the stencil.
 func (op *Op) row(src, dst []float64, off, n int) {
 	switch {
-	case op.banded7:
-		op.rowBanded7(src, dst, off, n)
 	case op.vc != nil:
 		op.rowBanded(src, dst, off, n)
 	case op.is7pt:
@@ -247,20 +243,20 @@ func (op *Op) row(src, dst []float64, off, n int) {
 	}
 }
 
-// The constant-coefficient row kernels slice every row they read or write
-// to the row's extent and let the internal/vec assembly compute the row as
-// a box of one row. Each Go loop is also the reference its assembly routine
-// matches bit for bit, and, without AVX2, the whole kernel. The loops sum
-// in point order, like every other kernel here.
+// The row kernels slice every row they read or write to the row's extent
+// and let the internal/vec assembly compute the row as a box of one row.
+// Each Go loop is also the reference its assembly routine matches bit for
+// bit, and, without AVX2, the whole kernel. The loops sum in point order,
+// like every other kernel here.
 
 // Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
 // through the internal/vec assembly, "go" when the Go loops run alone: on a
-// host without AVX2, for banded stencils, and on grids beyond
-// grid.MaxRowDims. With periodic boundaries the cells within Order of any
-// seam take the Go modular-indexing path either way, and the other cells
-// run the named kernel.
+// host without AVX2 and on grids beyond grid.MaxRowDims. With periodic
+// boundaries the cells within Order of any seam take the Go
+// modular-indexing path either way, and the other cells run the named
+// kernel.
 func (op *Op) Kernel() string {
-	if op.vc != nil || op.G.NumDims() > grid.MaxRowDims {
+	if op.G.NumDims() > grid.MaxRowDims {
 		return "go"
 	}
 	return vec.Kernel()
@@ -353,62 +349,26 @@ func mulAdd(k int, d, s []float64, c float64) {
 }
 
 // rowBanded handles variable coefficients: the banded matrix-vector product
-// with temporal iteration.
+// with temporal iteration. It runs vec.BandBox on a box of one row, or
+// without AVX2 the Go loop band.
 func (op *Op) rowBanded(src, dst []float64, off, n int) {
-	offs := op.offs
-	data := op.vc.Data
-	np := len(offs)
-	for i := off; i < off+n; i++ {
-		acc := data[0][i] * src[i]
-		for p := 1; p < np; p++ {
-			acc += data[p][i] * src[i+offs[p]]
-		}
-		dst[i] = acc
+	d := dst[off : off+n : off+n]
+	s := src[off-op.reach : off+n+op.reach]
+	if !vec.BandBox(d, s, &vec.Box{N: n, Rows: 1, Planes: 1, SY: 1, SZ: 1}, op.shifted, op.vc.Data, off) {
+		band(d, s, op.shifted, op.vc.Data, off)
 	}
-	if g := op.source; g != nil {
-		for i := off; i < off+n; i++ {
-			dst[i] += g[i]
-		}
-	}
+	op.addSource(d, off)
 }
 
-// rowBanded7 is the specialized 3D 7-point banded row kernel: the unrolled
-// form of rowBanded for the first-order star, with all seven coefficient
-// bands and neighbour planes pre-sliced to row extent. Like rowBanded, it
-// has no vector form.
-func (op *Op) rowBanded7(src, dst []float64, off, n int) {
-	data := op.vc.Data
-	o1, o2, o3, o4 := op.offs[1], op.offs[2], op.offs[3], op.offs[4]
-	d := dst[off : off+n : off+n]
-	b0 := data[0][off : off+n]
-	b1 := data[1][off : off+n]
-	b2 := data[2][off : off+n]
-	b3 := data[3][off : off+n]
-	b4 := data[4][off : off+n]
-	b5 := data[5][off : off+n]
-	b6 := data[6][off : off+n]
-	s0 := src[off : off+n]
-	s1 := src[off+o1:][:n]
-	s2 := src[off+o2:][:n]
-	s3 := src[off+o3:][:n]
-	s4 := src[off+o4:][:n]
-	sm := src[off-1 : off-1+n]
-	sp := src[off+1 : off+1+n]
-	if g := op.source; g != nil {
-		gg := g[off : off+n]
-		for k := range d {
-			d[k] = b0[k]*s0[k] +
-				b1[k]*s1[k] + b2[k]*s2[k] +
-				b3[k]*s3[k] + b4[k]*s4[k] +
-				b5[k]*sm[k] + b6[k]*sp[k] + gg[k]
+// band sets d[i] = w[0][at+i]·s[i+o[0]] + w[1][at+i]·s[i+o[1]] + …, summed
+// in point order, the reference for vec.BandBox on one row.
+func band(d, s []float64, o []int, w [][]float64, at int) {
+	for i := range d {
+		acc := w[0][at+i] * s[i+o[0]]
+		for p := 1; p < len(o); p++ {
+			acc += w[p][at+i] * s[i+o[p]]
 		}
-		return
-	}
-	for k := range d {
-		d[k] = b0[k]*s0[k] +
-			b1[k]*s1[k] + b2[k]*s2[k] +
-			b3[k]*s3[k] + b4[k]*s4[k] +
-			b5[k]*sm[k] + b6[k]*sp[k]
+		d[i] = acc
 	}
 }
 

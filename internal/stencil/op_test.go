@@ -259,8 +259,7 @@ func TestApplyBoxNoAllocs(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i % 17)
 	}
-	// The big grids' interiors take vec.Star7Box and vec.StarBox more than
-	// one call.
+	// The big grids' interiors take the box routines more than one call.
 	big := grid.New([]int{20, 30, 135})
 	big2 := grid.New([]int{22, 32, 135})
 	cases := []struct {
@@ -275,6 +274,7 @@ func TestApplyBoxNoAllocs(t *testing.T) {
 		{"generic-s3", NewOp(NewStar(3, 3), g), g.Interior(3)},
 		{"banded-7pt", NewBandedOp(NewBandedStar(3, 1), g, NewCoefficients(NewBandedStar(3, 1), g)), g.Interior(3)},
 		{"banded-s2", NewBandedOp(NewBandedStar(3, 2), g, NewCoefficients(NewBandedStar(3, 2), g)), g.Interior(3)},
+		{"banded-7pt-multicall", NewBandedOp(NewBandedStar(3, 1), big, NewCoefficients(NewBandedStar(3, 1), big)), big.Interior(1)},
 	}
 	for _, c := range cases {
 		for _, withSource := range []bool{false, true} {

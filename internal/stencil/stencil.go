@@ -5,6 +5,7 @@ package stencil
 
 import (
 	"fmt"
+	"slices"
 
 	"nustencil/internal/grid"
 )
@@ -146,17 +147,22 @@ func NewCoefficients(s *Stencil, g *grid.Grid) *Coefficients {
 	}
 	np := s.NumPoints()
 	c := &Coefficients{st: s, Data: make([][]float64, np)}
-	centre := 0.5
-	rest := 0.5 / float64(np-1)
-	for p := 0; p < np; p++ {
-		c.Data[p] = make([]float64, g.Len())
-		v := rest
+	for p := range c.Data {
+		if p >= 2 {
+			// Every neighbour has band 1's weight. A clone of a
+			// pointer-free slice is not zeroed first, as make's is.
+			c.Data[p] = slices.Clone(c.Data[1])
+			continue
+		}
+		v := 0.5 / float64(np-1)
 		if p == 0 {
-			v = centre
+			v = 0.5
 		}
-		for i := range c.Data[p] {
-			c.Data[p][i] = v
+		w := make([]float64, g.Len())
+		for i := range w {
+			w[i] = v
 		}
+		c.Data[p] = w
 	}
 	return c
 }

@@ -77,6 +77,36 @@ func TestStarCoefficientsSumToOne(t *testing.T) {
 	}
 }
 
+// NewCoefficients starts every cell at NewStar's weights, each point with
+// a band of its own.
+func TestNewCoefficientsWeights(t *testing.T) {
+	g := grid.New([]int{4, 5, 6})
+	for _, order := range []int{1, 2} {
+		st := NewBandedStar(3, order)
+		c := NewCoefficients(st, g)
+		if c.NumPoints() != st.NumPoints() {
+			t.Fatalf("order %d: %d bands, want %d", order, c.NumPoints(), st.NumPoints())
+		}
+		want := NewStar(3, order).Coeffs
+		for p, band := range c.Data {
+			if len(band) != g.Len() {
+				t.Fatalf("order %d band %d: %d cells, want %d", order, p, len(band), g.Len())
+			}
+			for i, v := range band {
+				if v != want[p] {
+					t.Fatalf("order %d band %d cell %d: %v, want %v", order, p, i, v, want[p])
+				}
+			}
+			band[0] = float64(-1 - p)
+		}
+		for p, band := range c.Data {
+			if band[0] != float64(-1-p) {
+				t.Fatalf("order %d: band %d shares its cells with another band", order, p)
+			}
+		}
+	}
+}
+
 // naiveUpdate computes one stencil update at pt by direct evaluation from
 // the Points list — the trusted oracle for the optimized kernels.
 func naiveUpdate(s *Stencil, g *grid.Grid, c *Coefficients, pt []int, t int) float64 {
@@ -173,7 +203,7 @@ func TestApply7ptMatchesOracle(t *testing.T) {
 
 // checkAcrossCalls checks op over its whole interior, which must exceed
 // boxCells, so that ApplyBox makes more than one call, without and then
-// with a source term.
+// with a source term. A banded op is checked against its own coefficients.
 func checkAcrossCalls(t *testing.T, op *Op) {
 	t.Helper()
 	interior := op.G.Interior(op.St.Order)
@@ -187,7 +217,7 @@ func checkAcrossCalls(t *testing.T, op *Op) {
 	defer op.SetSource(nil)
 	for _, g := range [][]float64{nil, src} {
 		op.SetSource(g)
-		if msg := oracleMismatch(op, nil, interior); msg != "" {
+		if msg := oracleMismatch(op, op.vc, interior); msg != "" {
 			t.Fatalf("source %v: %s", g != nil, msg)
 		}
 	}
@@ -218,13 +248,32 @@ func TestApplyGenericMatchesOracleAcrossCalls(t *testing.T) {
 	checkAcrossCalls(t, NewOp(NewStar(3, 2), randomGrid(r, []int{22, 32, 135})))
 }
 
-func TestApplyBandedMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	s := NewBandedStar(3, 1)
-	g := randomGrid(r, []int{4, 3, 135})
+// randomBandedOp returns a banded op of the given order on g, with random
+// coefficients, and the coefficients.
+func randomBandedOp(r *rand.Rand, order int, g *grid.Grid) (*Op, *Coefficients) {
+	s := NewBandedStar(g.NumDims(), order)
 	c := NewCoefficients(s, g)
 	c.FillFunc(func(p, idx int) float64 { return r.Float64() })
-	checkRowsAgainstOracle(t, NewBandedOp(s, g, c), c)
+	return NewBandedOp(s, g, c), c
+}
+
+// The banded boxes here span 3 planes of 3 rows, so each vec.BandBox call
+// crosses rows and planes, at orders 1 and 2.
+func TestApplyBandedMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, order := range []int{1, 2} {
+		g := randomGrid(r, []int{2*order + 3, 2*order + 3, 2*order + 133})
+		op, c := randomBandedOp(r, order, g)
+		checkRowsAgainstOracle(t, op, c)
+	}
+}
+
+// A banded interior of 18·28·133 cells, above boxCells, takes ApplyBox two
+// vec.BandBox calls: 17 planes, then 1.
+func TestApplyBandedMatchesOracleAcrossCalls(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	op, _ := randomBandedOp(r, 1, randomGrid(r, []int{20, 30, 135}))
+	checkAcrossCalls(t, op)
 }
 
 func TestApplyBoxClipsToInterior(t *testing.T) {

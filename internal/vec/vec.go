@@ -2,14 +2,15 @@
 // peak-FLOPS loop, and the CPU probe that selects it once, when the program
 // starts.
 //
-// Star7Box and StarBox run a constant-coefficient star over a whole box of
-// rows, tails included, and report whether they ran: Star7Box the 7-point
-// star, StarBox a star of any points and offsets. MulAdd computes a prefix
-// of its output row d, a multiple of 4 cells, and returns the prefix
-// length; the caller's Go loop finishes the row. A Go loop is also the
-// reference every routine matches bit for bit. Without AVX2 (another
-// architecture, or a CPU or OS without it) no routine writes anything, and
-// the Go loops do all the work.
+// Star7Box, StarBox and BandBox run a star over a whole box of rows, tails
+// included, and report whether they ran: Star7Box the constant 7-point
+// star, StarBox a constant star of any points and offsets, and BandBox a
+// variable-coefficient (banded) star of any points and offsets. MulAdd
+// computes a prefix of its output row d, a multiple of 4 cells, and returns
+// the prefix length; the caller's Go loop finishes the row. A Go loop is
+// also the reference every routine matches bit for bit. Without AVX2
+// (another architecture, or a CPU or OS without it) no routine writes
+// anything, and the Go loops do all the work.
 //
 // The routines multiply and add in the order of the Go expression they
 // stand for, with one multiply per product and one add per sum: VMULPD and
@@ -19,10 +20,11 @@
 //
 // The assembly does no bounds checks. MulAdd reads len(d) cells of s, and
 // its callers slice each range to exactly len(d) before the call, so a bad
-// row panics in Go before any assembly runs. Star7Box and StarBox check
-// their shape against the lengths of d and s themselves, and panic on a
-// mismatch. StarBox's d and s must not overlap: it writes a row's last
-// cells more than once and reads s throughout.
+// row panics in Go before any assembly runs. The box routines check their
+// shape against the lengths of d, s and the bands themselves, and panic on
+// a mismatch. StarBox's and BandBox's d must overlap neither s nor a band:
+// they write a row's last cells more than once and read their inputs
+// throughout.
 package vec
 
 import "fmt"
@@ -36,7 +38,7 @@ func Kernel() string {
 	return "go"
 }
 
-// Box is the shape of a 3D box of cells for Star7Box and StarBox: Planes ×
+// Box is the shape of a 3D box of cells for the box routines: Planes ×
 // Rows rows of N cells, rows SY cells apart and planes SZ cells apart.
 type Box struct {
 	N, Rows, Planes int
@@ -109,6 +111,55 @@ func StarBox(d, s []float64, b *Box, o []int, c []float64) bool {
 		return false
 	}
 	starBox(d, s, b, o, c)
+	return true
+}
+
+// BandBox runs a variable-coefficient star of len(o) points over box b and
+// reports whether it ran; without AVX2 it writes nothing and returns false.
+//
+// d, s and o are as for StarBox, and w holds one band of coefficients per
+// point, indexed like the grid: the box's first cell is cell at of every
+// band. Every cell d[j] of the box is set to
+//
+//	w[0][at+j]·s[j+o[0]] + w[1][at+j]·s[j+o[1]] + … + w[P−1][at+j]·s[j+o[P−1]],
+//
+// summed left to right, in point order. Cells between the rows and planes
+// of the box are left as they are. Neither s nor any band may overlap d: a
+// row whose length is not a multiple of 4 has its last cells written twice.
+//
+// The shape, o, d and s must pass StarBox's checks, with w in place of c;
+// at must be at least 0, and every band must reach the box's last cell:
+// len(w[p]) ≥ at + b.Span(). BandBox panics otherwise.
+//
+// The runtime cannot preempt the call, so callers should keep boxes small
+// enough to finish in well under a millisecond.
+func BandBox(d, s []float64, b *Box, o []int, w [][]float64, at int) bool {
+	extra := -1
+	if len(o) == len(w) {
+		extra = maxOffset(o, len(s))
+	}
+	if !b.fits(len(d), len(s), extra) || !reaches(w, at, b.Span()) {
+		panic(fmt.Sprintf("vec: BandBox shape %+v on %d and %d cells, %d offsets, %d bands from cell %d",
+			*b, len(d), len(s), len(o), len(w), at))
+	}
+	if !hasAVX2 {
+		return false
+	}
+	bandBox(d, s, b, o, w, at)
+	return true
+}
+
+// reaches reports whether at is at least 0 and every band of w holds span
+// cells from cell at on.
+func reaches(w [][]float64, at, span int) bool {
+	if at < 0 {
+		return false
+	}
+	for _, band := range w {
+		if len(band)-at < span {
+			return false
+		}
+	}
 	return true
 }
 

@@ -14,6 +14,9 @@ func star7Box(d, s []float64, b *Box, c *[7]float64)
 func starBox(d, s []float64, b *Box, o []int, c []float64)
 
 //go:noescape
+func bandBox(d, s []float64, b *Box, o []int, w [][]float64, at int)
+
+//go:noescape
 func mulAdd(d, s []float64, c float64) int
 
 //go:noescape

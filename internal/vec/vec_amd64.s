@@ -295,6 +295,178 @@ next:
 	VZEROUPPER
 	RET
 
+// func bandBox(d, s []float64, b *Box, o []int, w [][]float64, at int)
+//
+// starBox's loops with a band in place of each broadcast coefficient. The
+// box's first cell is cell at of every band, and AX runs over the box's
+// cells as at + j, j = p·SZ + r·SY + i: DI holds d and SI s, both moved at
+// cells down, so AX indexes them as it indexes a band. R15 holds the
+// offsets o, R12 the bands' slice headers w, 24 bytes apart, and R11 their
+// count. R10 holds the current row's first cell, CX the cell just past its
+// last, R9 the rows left in the plane, DX the planes left, and R13 b. For
+// a group of cells starting at AX, R14 holds the address of its first cell
+// in s, R8 counts the points, and BX holds band p's base, then o[p] (in a
+// 16-cell group, the address of point p's first cell in s). Each cell's
+// products are summed in point order: 16 cells at a time in Y4–Y7, with the
+// band's cells and then their products in Y8–Y11, then 4 at a time in Y4,
+// then, in rows shorter than 4 cells, one at a time in X4.
+TEXT ·bandBox(SB), NOSPLIT, $0-112
+	MOVQ d_base+0(FP), DI
+	MOVQ s_base+24(FP), SI
+	MOVQ b+48(FP), R13
+	MOVQ o_base+56(FP), R15
+	MOVQ o_len+64(FP), R11
+	MOVQ w_base+80(FP), R12
+	MOVQ at+104(FP), R10
+	MOVQ R10, CX
+	SHLQ $3, CX
+	SUBQ CX, DI
+	SUBQ CX, SI
+	MOVQ Box_Planes(R13), DX
+
+plane:
+	MOVQ Box_Rows(R13), R9
+
+row:
+	MOVQ R10, AX
+	MOVQ Box_N(R13), CX
+	ADDQ R10, CX
+	CMPQ Box_N(R13), $4
+	JLT  scalar
+
+g16test:
+	LEAQ 16(AX), BX
+	CMPQ BX, CX
+	JGT  g4test
+
+	// A group: the first point's products, then each further point's
+	// added.
+	LEAQ    (SI)(AX*8), R14
+	MOVQ    (R12), BX
+	VMOVUPD (BX)(AX*8), Y4
+	VMOVUPD 32(BX)(AX*8), Y5
+	VMOVUPD 64(BX)(AX*8), Y6
+	VMOVUPD 96(BX)(AX*8), Y7
+	MOVQ    (R15), BX
+	LEAQ    (R14)(BX*8), BX
+	VMULPD  (BX), Y4, Y4
+	VMULPD  32(BX), Y5, Y5
+	VMULPD  64(BX), Y6, Y6
+	VMULPD  96(BX), Y7, Y7
+	MOVQ    $1, R8
+	JMP     p16test
+
+p16:
+	LEAQ    (R8)(R8*2), BX
+	MOVQ    (R12)(BX*8), BX
+	VMOVUPD (BX)(AX*8), Y8
+	VMOVUPD 32(BX)(AX*8), Y9
+	VMOVUPD 64(BX)(AX*8), Y10
+	VMOVUPD 96(BX)(AX*8), Y11
+	MOVQ    (R15)(R8*8), BX
+	LEAQ    (R14)(BX*8), BX
+	VMULPD  (BX), Y8, Y8
+	VMULPD  32(BX), Y9, Y9
+	VMULPD  64(BX), Y10, Y10
+	VMULPD  96(BX), Y11, Y11
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y9, Y5, Y5
+	VADDPD  Y10, Y6, Y6
+	VADDPD  Y11, Y7, Y7
+	INCQ    R8
+
+p16test:
+	CMPQ    R8, R11
+	JLT     p16
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	VMOVUPD Y6, 64(DI)(AX*8)
+	VMOVUPD Y7, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     g16test
+
+g4test:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  tail
+
+g4:
+	LEAQ    (SI)(AX*8), R14
+	MOVQ    (R12), BX
+	VMOVUPD (BX)(AX*8), Y4
+	MOVQ    (R15), BX
+	VMULPD  (R14)(BX*8), Y4, Y4
+	MOVQ    $1, R8
+	JMP     p4test
+
+p4:
+	LEAQ    (R8)(R8*2), BX
+	MOVQ    (R12)(BX*8), BX
+	VMOVUPD (BX)(AX*8), Y8
+	MOVQ    (R15)(R8*8), BX
+	VMULPD  (R14)(BX*8), Y8, Y8
+	VADDPD  Y8, Y4, Y4
+	INCQ    R8
+
+p4test:
+	CMPQ    R8, R11
+	JLT     p4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     g4test
+
+	// The row's last n mod 4 cells: one more group over its last 4
+	// cells, which computes the cells before them again from the same
+	// inputs, to the same bits. After it AX = CX.
+tail:
+	CMPQ AX, CX
+	JGE  next
+	LEAQ -4(CX), AX
+	JMP  g4
+
+	// A row of fewer than 4 cells, one cell at a time.
+scalar:
+	CMPQ   AX, CX
+	JGE    next
+	LEAQ   (SI)(AX*8), R14
+	MOVQ   (R12), BX
+	VMOVSD (BX)(AX*8), X4
+	MOVQ   (R15), BX
+	VMULSD (R14)(BX*8), X4, X4
+	MOVQ   $1, R8
+	JMP    p1test
+
+p1:
+	LEAQ   (R8)(R8*2), BX
+	MOVQ   (R12)(BX*8), BX
+	VMOVSD (BX)(AX*8), X8
+	MOVQ   (R15)(R8*8), BX
+	VMULSD (R14)(BX*8), X8, X8
+	VADDSD X8, X4, X4
+	INCQ   R8
+
+p1test:
+	CMPQ   R8, R11
+	JLT    p1
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	JMP    scalar
+
+	// Next row; after the plane's last, back to its first row and on to
+	// the next plane.
+next:
+	ADDQ  Box_SY(R13), R10
+	DECQ  R9
+	JNZ   row
+	MOVQ  Box_Rows(R13), CX
+	IMULQ Box_SY(R13), CX
+	SUBQ  CX, R10
+	ADDQ  Box_SZ(R13), R10
+	DECQ  DX
+	JNZ   plane
+	VZEROUPPER
+	RET
+
 // func mulAdd(d, s []float64, c float64) int
 TEXT ·mulAdd(SB), NOSPLIT, $0-64
 	MOVQ         d_base+0(FP), DI

@@ -2,14 +2,16 @@
 
 package vec
 
-// Without the amd64 assembly there is no vector path: Star7Box and StarBox
-// run nothing, MulAdd computes an empty prefix, and the Go loops do all the
+// Without the amd64 assembly there is no vector path: the box routines run
+// nothing, MulAdd computes an empty prefix, and the Go loops do all the
 // work.
 const hasAVX2 = false
 
 func star7Box(d, s []float64, b *Box, c *[7]float64) {}
 
 func starBox(d, s []float64, b *Box, o []int, c []float64) {}
+
+func bandBox(d, s []float64, b *Box, o []int, w [][]float64, at int) {}
 
 func mulAdd(d, s []float64, c float64) int { return 0 }
 

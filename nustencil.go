@@ -222,8 +222,8 @@ type Report struct {
 	// FlopsPerUpdate converts updates to flops.
 	FlopsPerUpdate int
 	// Kernel names the row kernel that ran: "avx2" for the vector
-	// assembly, "go" for the Go loops alone (no AVX2 or not amd64, a
-	// banded stencil, or more than grid.MaxRowDims dimensions). A rate
+	// assembly, constant or banded, "go" for the Go loops alone (no AVX2
+	// or not amd64, or more than grid.MaxRowDims dimensions). A rate
 	// compared across hosts means little unless the kernel is known.
 	Kernel string
 	// Sched carries per-worker scheduler counters for dependency-scheduled

@@ -167,14 +167,11 @@ func TestReportUtilization(t *testing.T) {
 }
 
 // Report.Kernel names the row kernel that ran, on the single-process and
-// the distributed path: the vector kernel where the host has it, the Go
-// loops for banded stencils, which have no vector form.
+// the distributed path: the vector kernel where the host has it, for
+// constant and banded stencils alike.
 func TestReportKernel(t *testing.T) {
+	want := vec.Kernel()
 	for _, banded := range []bool{false, true} {
-		want := vec.Kernel()
-		if banded {
-			want = "go"
-		}
 		for _, ranks := range []int{1, 2} {
 			s, err := NewSolver(Config{Dims: []int{14, 14, 14}, Workers: 2, Ranks: ranks, Banded: banded})
 			if err != nil {

@@ -37,6 +37,8 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Add([]byte(`{"problem":{"dims":[8,8]},"run":{"timesteps":1},"deadline_ms":9223372036855}`))
+	// 4095 grid-sized coefficient bands within a 4096-cell limit.
+	f.Add([]byte(`{"problem":{"dims":[4096],"order":2047,"banded":true},"run":{"timesteps":1}}`))
 
 	cfg := Config{Limits: Limits{MaxCells: 4096, MaxTimesteps: 64}}.withDefaults()
 	f.Fuzz(func(t *testing.T, data []byte) {

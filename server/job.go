@@ -98,6 +98,10 @@ func (spec JobSpec) validate(limits Limits) error {
 	if limits.MaxCells > 0 && cells > limits.MaxCells {
 		return fmt.Errorf("%w: %d cells exceeds the %d-cell limit", ErrInvalidJob, cells, limits.MaxCells)
 	}
+	if limits.MaxCells > 0 && spec.Problem.Banded && !bandsFit(cells, len(spec.Problem.Dims), spec.Problem.Order, limits.MaxCells) {
+		return fmt.Errorf("%w: banded coefficients of order %d exceed %d times the %d-cell limit",
+			ErrInvalidJob, spec.Problem.Order, bandedGrids, limits.MaxCells)
+	}
 	if spec.Run.Timesteps < 0 {
 		return fmt.Errorf("%w: negative timesteps", ErrInvalidJob)
 	}
@@ -112,9 +116,29 @@ func (spec JobSpec) validate(limits Limits) error {
 	return nil
 }
 
+// bandedGrids bounds a banded spec's coefficients: they store one grid-sized
+// band per stencil point, and cells × points may not exceed bandedGrids ×
+// MaxCells, which admits every first-order 3D banded spec within MaxCells.
+const bandedGrids = 7
+
+// bandsFit reports whether a banded star of the given order on nd
+// dimensions, 1 + 2·nd·order points (an order below 1 counts as 1), stores
+// at most bandedGrids·maxCells coefficients on cells cells, with no order
+// able to overflow the count.
+func bandsFit(cells int64, nd, order int, maxCells int64) bool {
+	budget := int64(math.MaxInt64)
+	if maxCells <= budget/bandedGrids {
+		budget = bandedGrids * maxCells
+	}
+	// points ≤ budget/cells, that is 2·nd·order ≤ budget/cells − 1.
+	return int64(max(order, 1)) <= (budget/cells-1)/int64(2*nd)
+}
+
 // Limits are the admission-time resource bounds.
 type Limits struct {
-	// MaxCells bounds the grid size (cells per buffer; 0 = unlimited).
+	// MaxCells bounds the grid size (cells per buffer; 0 = unlimited). It
+	// bounds a banded spec's coefficients too, one per cell and stencil
+	// point, at 7 × MaxCells.
 	MaxCells int64
 	// MaxTimesteps bounds the per-job timestep count (0 = unlimited).
 	MaxTimesteps int

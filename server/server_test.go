@@ -175,6 +175,35 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// A banded spec stores one grid-sized band per stencil point, so admission
+// bounds cells × points, not just cells: a 4096-cell 1D spec of order 2047
+// would make NewSolver allocate 134 MB of coefficients under a 4096-cell
+// limit. A first-order 3D banded spec of exactly the limit still runs.
+func TestSubmitBoundsBandedCoefficients(t *testing.T) {
+	srv := New(Config{Executors: 1, Limits: Limits{MaxCells: 4096, MaxTimesteps: 4}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	deep := JobSpec{
+		Problem: nustencil.Config{Dims: []int{4096}, Order: 2047, Banded: true, Workers: 1},
+		Run:     nustencil.RunSpec{Timesteps: 1},
+	}
+	if code, _, raw := postJob(t, ts, deep); code != http.StatusBadRequest {
+		t.Fatalf("order-2047 banded spec: got %d %s", code, raw)
+	}
+	cube := JobSpec{
+		Problem: nustencil.Config{Dims: []int{16, 16, 16}, Banded: true, Workers: 1},
+		Run:     nustencil.RunSpec{Timesteps: 2},
+	}
+	code, ack, raw := postJob(t, ts, cube)
+	if code != http.StatusAccepted {
+		t.Fatalf("16³ banded spec: got %d %s", code, raw)
+	}
+	if doc := pollJob(t, ts, ack.ID); doc.State != Done {
+		t.Fatalf("16³ banded job: %+v", doc)
+	}
+}
+
 // TestQuotaRejection drives the coordinator into both quota walls with
 // a blocking job body, asserting 429s for the overflow and completion
 // for everything admitted.
