@@ -2,10 +2,15 @@ package nustencil
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"nustencil/internal/dist"
+	"nustencil/internal/engine"
 )
 
 // solve3dDist mirrors solve3d on the distributed path: same grid,
@@ -228,6 +233,78 @@ func TestDistributedTransportSeam(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Msgs == 0 || st.HaloBytes == 0 {
 		t.Fatalf("custom transport saw no traffic: %+v", st)
+	}
+}
+
+// TestDistributedPanicIsAnError pins panic isolation on the distributed
+// path: a chare-step that panics fails its Execute with an
+// *engine.PanicError instead of killing the process, leaves the solver
+// unpoisoned with its state untouched, and the next Execute runs.
+func TestDistributedPanicIsAnError(t *testing.T) {
+	s, err := NewSolver(Config{Dims: []int{12, 12, 12}, Workers: 2, Ranks: 2})
+	if err != nil {
+		t.Fatalf("NewSolver: %v", err)
+	}
+	s.SetInitial(func(pt []int) float64 { return float64(pt[0]*7+pt[1]*3+pt[2]) * 0.01 })
+	var armed atomic.Bool
+	armed.Store(true)
+	s.distTune = &distTuning{LoadFunc: func(chare, step int) int {
+		if chare == 1 && step == 2 && armed.Swap(false) {
+			panic("chare-step fault")
+		}
+		return 0
+	}}
+	before := s.Export(nil)
+	_, err = s.Execute(context.Background(), RunSpec{Timesteps: 4})
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Execute returned %v, want an *engine.PanicError", err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("a failed distributed run poisoned the solver: %v", err)
+	}
+	if !slices.Equal(s.Export(nil), before) {
+		t.Fatalf("a failed distributed run changed the solver state")
+	}
+	if _, err := s.Execute(context.Background(), RunSpec{Timesteps: 4}); err != nil {
+		t.Fatalf("Execute after the panic: %v", err)
+	}
+}
+
+// TestDistributedMemoryIndependentOfSteps pins that a distributed
+// Execute plans a bounded window of chare-steps, not the whole run: the
+// live heap halfway through a 2048-step run on 16 chares exceeds that of
+// a 16-step run by well under the 5 MB a plan of all 32,768 chare-steps
+// holds.
+func TestDistributedMemoryIndependentOfSteps(t *testing.T) {
+	liveHeap := func(steps int) uint64 {
+		s, err := NewSolver(Config{Dims: []int{18, 18, 18}, Workers: 2, Ranks: 2, ChareFactor: 8})
+		if err != nil {
+			t.Fatalf("NewSolver: %v", err)
+		}
+		s.SetInitial(func(pt []int) float64 { return float64(pt[0]+pt[1]+pt[2]) * 0.01 })
+		var heap uint64
+		s.distTune = &distTuning{LoadFunc: func(chare, step int) int {
+			if chare == 0 && step == steps/2 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				heap = ms.HeapAlloc
+			}
+			return 0
+		}}
+		// Two collections empty the sync.Pools, so neither run starts
+		// with the engine's scheduler buffers of an earlier test.
+		runtime.GC()
+		runtime.GC()
+		if _, err := s.Execute(context.Background(), RunSpec{Timesteps: steps}); err != nil {
+			t.Fatalf("Execute %d steps: %v", steps, err)
+		}
+		return heap
+	}
+	short, long := liveHeap(16), liveHeap(2048)
+	if long > short+2<<20 {
+		t.Errorf("live heap mid-run: %d B at 16 steps, %d B at 2048 steps; planning memory grows with the run length", short, long)
 	}
 }
 

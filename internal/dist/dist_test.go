@@ -4,18 +4,21 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"nustencil/internal/grid"
 	"nustencil/internal/stencil"
 )
 
 // fillTest gives every cell a position-dependent value so any ownership
-// or halo mistake shows up as a bit difference.
+// or halo mistake shows up as a bit difference. The field is not linear
+// in the position: a linear one is a fixed point of the averaging star,
+// which a run with the wrong step count or parity would reproduce.
 func fillTest(g *grid.Grid) {
 	g.FillFunc(func(pt []int) float64 {
 		v := 0.0
 		for k, p := range pt {
-			v = v*31 + float64(p*(k+7))
+			v = v*31 + float64(p*(k+7)+p*p%11)
 		}
 		return v*0.001 - 2
 	})
@@ -23,9 +26,10 @@ func fillTest(g *grid.Grid) {
 
 // TestLatticePartition pins the overdecomposition property: every
 // interior cell belongs to exactly one chare box, every chare box is
-// non-empty, and each chare's neighbor reads within the stencil order
-// are covered by its ghost ring (owned.Grow(order) stays inside the
-// grid bounds).
+// non-empty, each chare's neighbor reads within the stencil order are
+// covered by its ghost ring (owned.Grow(order) stays inside the grid
+// bounds), and every chare is at least order cells thick along each cut
+// dimension, so its ghost slabs are its neighbors' owned cells.
 func TestLatticePartition(t *testing.T) {
 	shapes := []struct {
 		dims   []int
@@ -36,12 +40,13 @@ func TestLatticePartition(t *testing.T) {
 		{dims: []int{9, 40}, order: 2, chares: 8},
 		{dims: []int{64}, order: 1, chares: 5},
 		{dims: []int{5, 5, 5}, order: 1, chares: 64}, // more chares than cells absorb
+		{dims: []int{66, 66}, order: 2, chares: 32},  // 32 cuts of 62 cells would leave 1-cell chares
 	}
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("%v-o%d-c%d", sh.dims, sh.order, sh.chares), func(t *testing.T) {
 			g := grid.New(sh.dims)
 			interior := g.Interior(sh.order)
-			l := MakeLattice(interior, sh.chares)
+			l := MakeLattice(interior, sh.chares, sh.order)
 			n := l.NumChares()
 			if n < 1 || n > sh.chares {
 				t.Fatalf("NumChares = %d, want in [1, %d]", n, sh.chares)
@@ -59,6 +64,9 @@ func TestLatticePartition(t *testing.T) {
 				for k := range sh.dims {
 					if grown.Lo[k] < 0 || grown.Hi[k] > sh.dims[k] {
 						t.Fatalf("chare %d ghost region %v leaves the grid %v", i, grown, sh.dims)
+					}
+					if l.Counts[k] > 1 && b.Extent(k) < sh.order {
+						t.Fatalf("chare %d box %v is thinner than order %d along dim %d", i, b, sh.order, k)
 					}
 				}
 				g.ForEachRow(b, func(off, length int, _ []int) {
@@ -112,8 +120,12 @@ func TestRuntimeBitExact(t *testing.T) {
 		{name: "2ranks", dims: []int{18, 15, 14}, opts: Options{Ranks: 2, ChareFactor: 3, WorkersPerRank: 2}, T: 6, order: 1},
 		{name: "3ranks-lb", dims: []int{20, 17, 13}, opts: Options{Ranks: 3, ChareFactor: 4, WorkersPerRank: 2, LBPeriod: 2}, T: 7, order: 1},
 		{name: "2d-order2", dims: []int{30, 26}, opts: Options{Ranks: 2, ChareFactor: 5, WorkersPerRank: 1}, T: 5, order: 2},
+		{name: "2d-order2-thin", dims: []int{66, 66}, opts: Options{Ranks: 2, ChareFactor: 16, WorkersPerRank: 2}, T: 20, order: 2},
 		{name: "1d", dims: []int{97}, opts: Options{Ranks: 4, ChareFactor: 2, WorkersPerRank: 1}, T: 4, order: 1},
 		{name: "more-ranks-than-chares-absorb", dims: []int{5, 5, 5}, opts: Options{Ranks: 8, ChareFactor: 4, WorkersPerRank: 1}, T: 3, order: 1},
+		// 64 chares: segments of 99 and 51 steps run as engine.Runs of
+		// 64, 35 and 51 steps, the last starting at an odd step.
+		{name: "windows-lb", dims: []int{40, 40}, opts: Options{Ranks: 2, ChareFactor: 32, WorkersPerRank: 2, LBPeriod: 99}, T: 150, order: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,6 +153,31 @@ func TestRuntimeBitExact(t *testing.T) {
 				t.Fatalf("Updates = %d, want %d", res.Updates, wantUpdates)
 			}
 		})
+	}
+}
+
+// TestUnevenDealSharesChareSteps pins that a rank with more chares than
+// a multiple of its workers spreads its chare-steps evenly over them:
+// three chares on two workers for six steps give each worker nine.
+func TestUnevenDealSharesChareSteps(t *testing.T) {
+	dims := []int{40}
+	st := stencil.NewStar(len(dims), 1)
+	g := grid.New(dims)
+	fillTest(g)
+	ran := make([]int, 2)
+	rt, err := New(Problem{Grid: g, Stencil: st}, Options{
+		Ranks: 1, ChareFactor: 3, WorkersPerRank: 2,
+		OnExec: func(w int, _ int64, _ time.Duration) { ran[w]++ },
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, err := rt.Run(context.Background(), 6)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Chares != 3 || ran[0] != 9 || ran[1] != 9 {
+		t.Fatalf("%d chares, chare-steps per worker %v; want 3 chares, 9 each", res.Chares, ran)
 	}
 }
 

@@ -2,13 +2,14 @@
 // interior into many more blocks than workers ("chares", the Charm++
 // term), spreads the chares across ranks — in-process simulated nodes
 // behind a Transport interface — and advances them timestep by timestep
-// with face halo (ghost-zone) exchange between lattice neighbors. A
-// chare's step-t execution depends on the arrival of every neighbor's
-// step-t halo, the distributed analogue of the engine's tile
-// dependencies; overdecomposition gives the load balancer freedom to
-// migrate hot chares between ranks at barrier points (the Charm++
-// AtSync pattern), which the Runtime does between fixed-length step
-// segments.
+// with face halo (ghost-zone) exchange between lattice neighbors.
+// Between load-balance barriers the Runtime runs each chare-step as a
+// tile of engine.Run, the executor of the single-process path, one run
+// per window of at most windowTiles chare-steps: the step depends on the
+// chare's and its neighbors' previous steps, whose halos it reads, and a
+// worker of the chare's rank runs it.
+// Overdecomposition gives the load balancer freedom to migrate hot
+// chares between ranks at those barriers (the Charm++ AtSync pattern).
 //
 // Star stencils read only axis-aligned offsets, so face halos of width
 // Order exchanged every timestep are sufficient (no corner ghosts), and
@@ -39,15 +40,17 @@ type Lattice struct {
 	Cuts [][]int
 }
 
-// MakeLattice decomposes the interior box into at most chares blocks.
-// Like the worker decomposition, the actual block count may be lower
-// when the extents cannot absorb the requested factorization; it is
-// never zero for a non-empty interior.
-func MakeLattice(interior grid.Box, chares int) Lattice {
+// MakeLattice decomposes the interior box into at most chares blocks,
+// each at least order cells thick along every dimension it cuts, so
+// that a face halo of width order is a slab of one neighbor's owned
+// cells. Like the worker decomposition, the actual block count may be
+// lower when the extents cannot absorb the requested factorization; it
+// is never zero for a non-empty interior.
+func MakeLattice(interior grid.Box, chares, order int) Lattice {
 	nd := interior.NumDims()
 	ext := make([]int, nd)
 	for k := 0; k < nd; k++ {
-		ext[k] = interior.Extent(k)
+		ext[k] = interior.Extent(k) / max(order, 1)
 	}
 	counts := tiling.DecomposeCountsFor(ext, chares)
 	cuts := make([][]int, nd)
@@ -131,7 +134,7 @@ func NetHaloWordsPerStep(interiorExt []int, order, ranks, chares int) int64 {
 	if ranks <= 1 {
 		return 0
 	}
-	l := MakeLattice(grid.BoxOf(interiorExt), chares)
+	l := MakeLattice(grid.BoxOf(interiorExt), chares, order)
 	n := l.NumChares()
 	var words int64
 	for i := 0; i < n; i++ {

@@ -3,11 +3,14 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"nustencil/internal/engine"
 	"nustencil/internal/grid"
 	"nustencil/internal/histo"
+	"nustencil/internal/spacetime"
 	"nustencil/internal/stencil"
 	"nustencil/internal/trace"
 )
@@ -37,7 +40,12 @@ type Options struct {
 	// ChareFactor is the overdecomposition ratio: the runtime asks for
 	// Ranks·ChareFactor chares (default DefaultChareFactor).
 	ChareFactor int
-	// WorkersPerRank is each rank's worker-pool size (default 1).
+	// WorkersPerRank is the number of engine workers each rank runs
+	// (default 1). Each chare-step runs on one worker of its rank: the
+	// rank's chares are dealt round-robin over its workers, so each chare
+	// keeps one worker, except on a rank whose chare count is not a
+	// multiple of WorkersPerRank, whose deal shifts by one worker every
+	// step so that its workers share its chare-steps evenly.
 	WorkersPerRank int
 	// LBPeriod inserts a load-balance barrier every LBPeriod timesteps
 	// (the Charm++ AtSync/LBPERIOD_ITER pattern); 0 disables migration.
@@ -51,9 +59,10 @@ type Options struct {
 	LoadFunc func(chare, step int) int
 	// Transport overrides the in-process transport (tests).
 	Transport Transport
-	// OnExec observes every chare-step execution with the global worker
-	// index (rank·WorkersPerRank + local worker) — the counter layer's
-	// hook. Called from worker goroutines, one index never concurrently.
+	// OnExec observes every chare-step's kernel time with the global
+	// worker index (rank·WorkersPerRank + local worker) — the counter
+	// layer's hook. Called from engine workers, one index never
+	// concurrently.
 	OnExec func(worker int, updates int64, d time.Duration)
 	// Trace, when set, collects the distributed timeline: per-rank
 	// processes, per-chare spans, halo flow arrows, migration/AtSync
@@ -84,16 +93,9 @@ type neighborRef struct {
 	dim, side int
 }
 
-// Chare execution states, guarded by the owning rank's lock.
-const (
-	stWaiting uint8 = iota // not ready: halo arrivals outstanding
-	stQueued               // in the rank's ready queue
-	stRunning              // claimed by a worker
-)
-
 // chare is one block of the overdecomposed grid: a private grid of the
 // owned box plus a ghost ring of width order, the stencil kernel bound
-// to it, and the halo-dependency scheduling state.
+// to it, and its face neighbors.
 type chare struct {
 	id         int
 	order      int
@@ -105,18 +107,8 @@ type chare struct {
 	coeffs     *stencil.Coefficients
 	src        []float64
 	neighbors  []neighborRef
-	need       int // halo arrivals required per step (= len(neighbors))
-
-	// Scheduling state. got[p] counts arrivals for the pending step of
-	// parity p; the ≤1-step neighbor skew of the halo protocol keeps the
-	// two parity slots from ever colliding.
-	step    int
-	got     [2]int
-	state   uint8
-	doneSeg bool
-	segBusy time.Duration // execution time since the last balance point
-	updates int64
-	sink    float64 // keeps LoadFunc spins observable
+	segBusy    time.Duration // execution time since the last balance point
+	sink       float64       // keeps LoadFunc spins observable
 }
 
 // localIndex maps a global point inside the chare's grown region to its
@@ -194,46 +186,47 @@ func (c *chare) stateBytes() int64 {
 	return 8 * words
 }
 
-// rank is one simulated node: a worker pool draining a ready queue of
-// chares whose halo dependencies are satisfied.
+// rank is one simulated node. Its lock serializes the drains of its
+// mailbox (see drain).
 type rank struct {
-	id int
-	rt *Runtime
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ready  []*chare
-	owned  int // chares owned this segment
-	done   int // owned chares that reached the segment end, halos in
-	segEnd int
-	err    error
-
-	busy    []time.Duration // per local worker
-	updates []int64
-
-	// haloLat is written only by the rank's recvLoop; segDone is stamped
-	// by the rank's runSegment goroutine and read by the Run loop after
-	// the barrier (ordered by the segment WaitGroup).
-	haloLat histo.Hist
-	segDone time.Time
+	mu      sync.Mutex
+	haloLat histo.Hist // written under mu
 }
 
+// windowTiles bounds the chare-steps one engine.Run plans: a segment of
+// more than windowTiles/n steps runs as several engine.Runs of one plan,
+// so planning memory (about 190 B per chare-step) grows with the chare
+// count n, not with the number of timesteps.
+const windowTiles = 1 << 12
+
 // Runtime executes one distributed run: chares spread over ranks,
-// advancing in lock-step segments with halo exchange, migration at the
-// segment barriers.
+// advancing in segments between load-balance barriers, each segment a
+// sequence of engine.Runs of chare-step tiles with halo exchange inside
+// the tiles, migration at the barriers.
 type Runtime struct {
-	prob Problem
-	opts Options
-	tr   Transport
-	lat  Lattice
+	prob  Problem
+	opts  Options
+	tr    Transport
+	depth DepthReporter // tr's mailbox backlog, nil when it reports none
+	lat   Lattice
 
 	chares []*chare
 	// chareRank maps chare → owning rank. Written only at barriers
 	// (quiesced), read freely during segments.
 	chareRank []int32
-	ranks     []*rank
+	ranks     []rank
 
-	T          int
+	// busy and end are per global worker (rank·WorkersPerRank + local
+	// worker), each entry written only by its worker during a segment:
+	// kernel time, and the end of the worker's last chare-step in the
+	// current segment.
+	busy []time.Duration
+	end  []time.Time
+
+	T int
+	// winT0 is the first step of the engine.Run in flight, written only
+	// between runs.
+	winT0      int
 	migrations int64
 
 	// tc is the trace record buffer (nil when Options.Trace is unset);
@@ -260,15 +253,20 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 	if interior.Empty() {
 		return nil, fmt.Errorf("dist: grid %v has no interior at order %d", prob.Grid.Dims(), order)
 	}
+	workers := opts.Ranks * opts.WorkersPerRank
 	rt := &Runtime{
-		prob: prob,
-		opts: opts,
-		lat:  MakeLattice(interior, opts.Ranks*opts.ChareFactor),
+		prob:  prob,
+		opts:  opts,
+		lat:   MakeLattice(interior, opts.Ranks*opts.ChareFactor, order),
+		ranks: make([]rank, opts.Ranks),
+		busy:  make([]time.Duration, workers),
+		end:   make([]time.Time, workers),
 	}
 	rt.tr = opts.Transport
 	if rt.tr == nil {
 		rt.tr = NewLocalTransport(opts.Ranks)
 	}
+	rt.depth, _ = rt.tr.(DepthReporter)
 	nd := prob.Grid.NumDims()
 	n := rt.lat.NumChares()
 	rt.chares = make([]*chare, n)
@@ -277,19 +275,8 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 		rt.chares[i] = rt.buildChare(i, order, nd)
 		rt.chareRank[i] = int32(InitialRank(i, n, opts.Ranks))
 	}
-	rt.ranks = make([]*rank, opts.Ranks)
-	for i := range rt.ranks {
-		r := &rank{
-			id:      i,
-			rt:      rt,
-			busy:    make([]time.Duration, opts.WorkersPerRank),
-			updates: make([]int64, opts.WorkersPerRank),
-		}
-		r.cond = sync.NewCond(&r.mu)
-		rt.ranks[i] = r
-	}
 	if opts.Trace != nil {
-		rt.tc = newTracer(n, nd, opts.Ranks*opts.WorkersPerRank, opts.Ranks)
+		rt.tc = newTracer(n, nd, workers)
 	}
 	return rt, nil
 }
@@ -357,118 +344,251 @@ func (rt *Runtime) buildChare(i, order, nd int) *chare {
 			}
 		}
 	}
-	c.need = len(c.neighbors)
-	c.got[0] = c.need // step 0 reads the scattered state: pre-credited
 	return c
 }
 
 // Run advances every chare by timesteps steps and gathers the result
-// into the global grid. On error (cancellation) the global grid is left
+// into the global grid. On error (cancellation, or a panicking
+// chare-step, returned as *engine.PanicError) the global grid is left
 // exactly as it was — scatter/gather isolation means a failed
 // distributed run does not corrupt the solver state.
 func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
-	rt.T = timesteps
-	res := Result{
-		Chares:           len(rt.chares),
-		Workers:          rt.opts.Ranks * rt.opts.WorkersPerRank,
-		UpdatesPerWorker: make([]int64, rt.opts.Ranks*rt.opts.WorkersPerRank),
-		BusyPerWorker:    make([]time.Duration, rt.opts.Ranks*rt.opts.WorkersPerRank),
-	}
-	if timesteps <= 0 {
-		res.Net = rt.tr.Stats()
-		return res, nil
-	}
-	// An already-cancelled context refuses the run here, as the engine
-	// does: the watcher below may be scheduled only after a short run has
-	// finished.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	rt.T = max(timesteps, 0)
+	updates := make([]int64, len(rt.busy))
+	for t0 := 0; t0 < rt.T; {
+		t1 := rt.T
+		if rt.opts.LBPeriod > 0 && t0+rt.opts.LBPeriod < rt.T {
+			t1 = t0 + rt.opts.LBPeriod
+		}
+		if err := rt.segment(ctx, t0, t1, updates); err != nil {
 			return Result{}, err
 		}
-	}
-
-	var recvWG sync.WaitGroup
-	for _, r := range rt.ranks {
-		recvWG.Add(1)
-		go func(r *rank) {
-			defer recvWG.Done()
-			r.recvLoop()
-		}(r)
-	}
-	if ctx != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				rt.failAll(ctx.Err())
-			case <-stop:
-			}
-		}()
-	}
-
-	var runErr error
-	for t := 0; t < rt.T && runErr == nil; {
-		t1 := rt.T
-		if rt.opts.LBPeriod > 0 && t+rt.opts.LBPeriod < rt.T {
-			t1 = t + rt.opts.LBPeriod
-		}
-		rt.sampleResident()
-		var wg sync.WaitGroup
-		for _, r := range rt.ranks {
-			wg.Add(1)
-			go func(r *rank) {
-				defer wg.Done()
-				r.runSegment(t1)
-			}(r)
-		}
-		wg.Wait()
-		barrierEnd := time.Now()
-		for _, r := range rt.ranks {
-			if !r.segDone.IsZero() {
-				rt.barrierWait.Observe(barrierEnd.Sub(r.segDone))
-			}
-		}
-		runErr = rt.firstErr()
-		if runErr == nil && t1 < rt.T {
-			if rt.tc != nil {
-				for _, r := range rt.ranks {
-					rt.tc.instants = append(rt.tc.instants, instantRec{
-						name: "AtSync", rank: r.id, at: r.segDone,
-						args: map[string]any{"step": t1},
-					})
-				}
-			}
+		if t1 < rt.T {
 			rt.rebalance()
 		}
-		t = t1
+		t0 = t1
 	}
-	rt.tr.Close()
-	recvWG.Wait()
-	if runErr != nil {
-		return Result{}, runErr
+	if rt.T > 0 {
+		rt.gather()
 	}
-
-	rt.gather()
-	for _, r := range rt.ranks {
-		base := r.id * rt.opts.WorkersPerRank
-		for lw := 0; lw < rt.opts.WorkersPerRank; lw++ {
-			res.UpdatesPerWorker[base+lw] = r.updates[lw]
-			res.BusyPerWorker[base+lw] = r.busy[lw]
-			res.Updates += r.updates[lw]
-		}
+	res := Result{
+		Chares:           len(rt.chares),
+		ChareSteps:       int64(len(rt.chares)) * int64(rt.T),
+		Workers:          len(rt.busy),
+		UpdatesPerWorker: updates,
+		BusyPerWorker:    slices.Clone(rt.busy),
+		Migrations:       rt.migrations,
+		Net:              rt.tr.Stats(),
 	}
-	res.ChareSteps = int64(len(rt.chares)) * int64(rt.T)
-	res.Migrations = rt.migrations
-	res.Net = rt.tr.Stats()
-	for _, r := range rt.ranks {
-		res.Net.HaloLatency.Merge(&r.haloLat)
+	for _, n := range updates {
+		res.Updates += n
+	}
+	for r := range rt.ranks {
+		res.Net.HaloLatency.Merge(&rt.ranks[r].haloLat)
 	}
 	res.Net.BarrierWait = rt.barrierWait
 	if rt.tc != nil {
-		rt.tc.fold(rt.opts.Trace, rt.opts.Ranks, rt.opts.WorkersPerRank)
+		rt.tc.fold(rt.opts.Trace, rt.opts.Ranks)
 	}
 	return res, nil
+}
+
+// segment runs steps [t0, t1) of every chare as engine.Runs of at most
+// windowTiles chare-steps each, adding each run's per-worker updates into
+// updates, and then drains every rank's mailbox, so that no halo waits at
+// a rank whose chare the balancer may move away. A window's first step
+// needs no dependency on the previous window: that window's engine.Run
+// returned, so every halo the step reads was sent, and its drain finds
+// it. Each rank's barrier wait runs from the end of its last chare-step
+// to the end of the segment.
+func (rt *Runtime) segment(ctx context.Context, t0, t1 int, updates []int64) error {
+	rt.sampleResident()
+	n := len(rt.chares)
+	steps := min(t1-t0, max(1, windowTiles/n))
+	tiles, deps := rt.plan(steps)
+	start := time.Now()
+	for w := range rt.end {
+		rt.end[w] = start
+	}
+	var err error
+	for rt.winT0 = t0; rt.winT0 < t1; rt.winT0 += steps {
+		k := n * min(steps, t1-rt.winT0)
+		var st *engine.Stats
+		st, err = engine.Run(tiles[:k], engine.Config{Workers: len(rt.end), Deps: deps[:k], Ctx: ctx, Exec: rt.exec})
+		if err != nil {
+			break
+		}
+		for w, u := range st.UpdatesPerWorker {
+			updates[w] += u
+		}
+	}
+	segEnd := time.Now()
+	wpr := rt.opts.WorkersPerRank
+	for r := range rt.ranks {
+		rt.drain(r, rt.shard(r*wpr))
+	}
+	if err != nil {
+		return err
+	}
+	for r := range rt.ranks {
+		last := slices.MaxFunc(rt.end[r*wpr:(r+1)*wpr], time.Time.Compare)
+		rt.barrierWait.Observe(segEnd.Sub(last))
+		if rt.tc != nil && t1 < rt.T {
+			rt.tc.instants = append(rt.tc.instants, instantRec{
+				name: "AtSync", rank: r, at: last,
+				args: map[string]any{"step": t1},
+			})
+		}
+	}
+	return nil
+}
+
+// plan builds the tiles and dependencies of a window of steps steps;
+// a shorter window runs a prefix. Tile t·n + c is chare c's step
+// winT0+t. It runs on a worker of the chare's rank, as
+// Options.WorkersPerRank deals them, the rank's chares in id order. It
+// depends on the chare's and its lattice neighbors' previous step (the
+// halos it reads); the window's first step depends on nothing. Every
+// edge points one step back, so the graph is acyclic.
+func (rt *Runtime) plan(steps int) ([]*spacetime.Tile, [][]int) {
+	n, wpr := len(rt.chares), rt.opts.WorkersPerRank
+	pos := make([]int, n)
+	dealt := make([]int, rt.opts.Ranks)
+	for c, r := range rt.chareRank {
+		pos[c] = dealt[r]
+		dealt[r]++
+	}
+	backing := make([]spacetime.Tile, n*steps)
+	tiles := make([]*spacetime.Tile, len(backing))
+	deps := make([][]int, len(backing))
+	for i := range backing {
+		c, t := i%n, i/n
+		r, k := int(rt.chareRank[c]), pos[c]
+		if dealt[r]%wpr != 0 {
+			k += t
+		}
+		backing[i] = spacetime.Tile{T0: t, Owner: r*wpr + k%wpr, Node: -1}
+		tiles[i] = &backing[i]
+		if t > 0 {
+			d := append(make([]int, 0, 1+len(rt.chares[c].neighbors)), i-n)
+			for _, nb := range rt.chares[c].neighbors {
+				d = append(d, i-n-c+nb.id)
+			}
+			deps[i] = d
+		}
+	}
+	return tiles, deps
+}
+
+// exec is the engine's Exec: worker w runs chare-step tile, whose ID is
+// its index in plan's order (engine.Run numbers tiles so). It applies
+// the halos queued for the chare's rank, steps the chare, and unless the
+// step is the last pushes the halos its neighbors' next step reads.
+func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
+	c, t := rt.chares[tile.ID%len(rt.chares)], rt.winT0+tile.T0
+	r := int(rt.chareRank[c.id])
+	sh := rt.shard(w)
+	rt.drain(r, sh)
+
+	start := time.Now()
+	n := c.op.ApplyBox(c.g.Bounds(), t)
+	if rt.opts.LoadFunc != nil {
+		c.sink += spin(rt.opts.LoadFunc(c.id, t))
+	}
+	d := time.Since(start)
+	c.segBusy += d
+	rt.busy[w] += d
+	if rt.opts.OnExec != nil {
+		rt.opts.OnExec(w, n, d)
+	}
+	if sh != nil {
+		sh.spans = append(sh.spans, spanRec{
+			chare: c.id, step: t, rank: r, updates: n, start: start, d: d,
+		})
+	}
+	if t+1 < rt.T {
+		rt.push(c, r, t+1, sh)
+	}
+	rt.end[w] = time.Now()
+	return n
+}
+
+// push sends chare c's halos for step t to its neighbors. A neighbor on
+// c's own rank r gets its ghost slab written directly. That is safe while
+// the neighbor runs step t−1: ghost and owned cells are disjoint, and
+// step t−1 reads the other parity. Any other neighbor's halo goes through
+// the transport to the neighbor's rank.
+func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
+	parity := t & 1
+	for _, nb := range c.neighbors {
+		data := c.packHalo(nb.dim, nb.side, parity)
+		dest := int(rt.chareRank[nb.id])
+		if dest == r {
+			rt.chares[nb.id].applyHalo(nb.dim, -nb.side, parity, data)
+			continue
+		}
+		sentAt := time.Now()
+		if sh != nil {
+			sh.flows = append(sh.flows, flowRec{
+				destChare: nb.id, dim: nb.dim, side: -nb.side, step: t,
+				tid: c.id, rank: r, at: sentAt,
+			})
+		}
+		rt.tr.Send(Msg{
+			Kind: HaloMsg, From: r, To: dest,
+			Chare: nb.id, Step: t,
+			Dim: nb.dim, Side: -nb.side, Data: data,
+			SentAt: sentAt,
+		})
+	}
+}
+
+// drain applies every halo queued for rank r, recording into sh (nil
+// when untraced). A chare-step drains before it runs, and every halo it
+// reads was sent by a step that completed before it became ready, so
+// that halo is in the mailbox or already dequeued. The rank's lock,
+// held from the first Recv to the last apply, covers the second case: a
+// worker that finds the mailbox empty while another worker of the rank
+// has dequeued its halo waits here until that halo is applied. A halo
+// for a chare that is still running its previous step is applied at once,
+// safe for the reason push gives.
+func (rt *Runtime) drain(r int, sh *workerShard) {
+	rk := &rt.ranks[r]
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	for {
+		m, ok := rt.tr.Recv(r)
+		if !ok {
+			return
+		}
+		if m.Kind != HaloMsg {
+			continue
+		}
+		rt.chares[m.Chare].applyHalo(m.Dim, m.Side, m.Step&1, m.Data)
+		now := time.Now()
+		if !m.SentAt.IsZero() {
+			rk.haloLat.Observe(now.Sub(m.SentAt))
+		}
+		if sh == nil {
+			continue
+		}
+		sh.finishes = append(sh.finishes, flowRec{
+			destChare: m.Chare, dim: m.Dim, side: m.Side, step: m.Step,
+			tid: m.Chare, rank: r, at: now,
+		})
+		if rt.depth != nil {
+			msgs, bytes := rt.depth.Depth(r)
+			sh.samples = append(sh.samples, depthRec{rank: r, at: now, msgs: msgs, bytes: bytes})
+		}
+	}
+}
+
+// shard returns worker w's trace buffer, nil when untraced.
+func (rt *Runtime) shard(w int) *workerShard {
+	if rt.tc == nil {
+		return nil
+	}
+	return &rt.tc.shards[w]
 }
 
 // sampleResident records one "chares resident" sample per rank from the
@@ -539,234 +659,6 @@ func (rt *Runtime) rebalance() {
 		}
 		rt.chareRank[mv.Chare] = int32(mv.To)
 		rt.migrations++
-	}
-}
-
-func (rt *Runtime) failAll(err error) {
-	for _, r := range rt.ranks {
-		r.mu.Lock()
-		if r.err == nil {
-			r.err = err
-		}
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-}
-
-func (rt *Runtime) firstErr() error {
-	for _, r := range rt.ranks {
-		r.mu.Lock()
-		err := r.err
-		r.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runSegment advances the rank's owned chares to step t1, returning
-// when every owned chare has executed up to t1 and — unless t1 is the
-// final step — received all of its next-step halos, so that no message
-// destined for this rank is in flight at the barrier (the quiescence
-// migration relies on).
-func (r *rank) runSegment(t1 int) {
-	rt := r.rt
-	r.mu.Lock()
-	r.segEnd = t1
-	r.done = 0
-	r.owned = 0
-	r.ready = r.ready[:0]
-	for _, c := range rt.chares {
-		if int(rt.chareRank[c.id]) != r.id {
-			continue
-		}
-		r.owned++
-		c.doneSeg = false
-		if c.got[c.step&1] == c.need {
-			c.state = stQueued
-			r.ready = append(r.ready, c)
-		} else {
-			c.state = stWaiting
-		}
-	}
-	owned := r.owned
-	r.mu.Unlock()
-	if owned == 0 {
-		r.segDone = time.Now()
-		return
-	}
-	var wg sync.WaitGroup
-	for lw := 0; lw < rt.opts.WorkersPerRank; lw++ {
-		wg.Add(1)
-		go func(lw int) {
-			defer wg.Done()
-			r.worker(lw)
-		}(lw)
-	}
-	wg.Wait()
-	r.segDone = time.Now()
-}
-
-// worker drains the ready queue: execute a chare's pending step, push
-// the halos the neighbors' next step reads, and re-evaluate readiness.
-func (r *rank) worker(lw int) {
-	rt := r.rt
-	var tsh *workerShard // this worker's private trace buffer, nil when untraced
-	if rt.tc != nil {
-		tsh = &rt.tc.shards[r.id*rt.opts.WorkersPerRank+lw]
-	}
-	for {
-		r.mu.Lock()
-		for len(r.ready) == 0 && r.done < r.owned && r.err == nil {
-			r.cond.Wait()
-		}
-		if r.err != nil || r.done >= r.owned {
-			r.mu.Unlock()
-			return
-		}
-		c := r.ready[len(r.ready)-1]
-		r.ready = r.ready[:len(r.ready)-1]
-		c.state = stRunning
-		t := c.step
-		r.mu.Unlock()
-
-		start := time.Now()
-		n := c.op.ApplyBox(c.g.Bounds(), t)
-		if rt.opts.LoadFunc != nil {
-			c.sink += spin(rt.opts.LoadFunc(c.id, t))
-		}
-		d := time.Since(start)
-		c.segBusy += d
-		c.updates += n
-		r.busy[lw] += d
-		r.updates[lw] += n
-		if rt.opts.OnExec != nil {
-			rt.opts.OnExec(r.id*rt.opts.WorkersPerRank+lw, n, d)
-		}
-		if tsh != nil {
-			tsh.spans = append(tsh.spans, spanRec{
-				chare: c.id, step: t, rank: r.id, updates: n, start: start, d: d,
-			})
-		}
-
-		// Advance and recycle the arrival slot for step t+2 BEFORE
-		// pushing t+1 halos: a neighbor unblocked by our push could send
-		// its t+2 halo back immediately, and that arrival must land
-		// after the reset.
-		r.mu.Lock()
-		c.got[t&1] = 0
-		c.step = t + 1
-		r.mu.Unlock()
-
-		if t+1 < rt.T {
-			parity := (t + 1) & 1
-			for _, nb := range c.neighbors {
-				data := c.packHalo(nb.dim, nb.side, parity)
-				dest := int(rt.chareRank[nb.id])
-				if dest == r.id {
-					// Same rank: apply directly. Safe while the peer
-					// executes — ghost and owned cells are disjoint,
-					// and the peer cannot be past step t (it needs
-					// this halo for t+1).
-					peer := rt.chares[nb.id]
-					peer.applyHalo(nb.dim, -nb.side, parity, data)
-					r.arrive(peer, t+1)
-				} else {
-					sentAt := time.Now()
-					if tsh != nil {
-						tsh.flows = append(tsh.flows, flowRec{
-							destChare: nb.id, dim: nb.dim, side: -nb.side, step: t + 1,
-							tid: c.id, rank: r.id, at: sentAt,
-						})
-					}
-					rt.tr.Send(Msg{
-						Kind: HaloMsg, From: r.id, To: dest,
-						Chare: nb.id, Step: t + 1,
-						Dim: nb.dim, Side: -nb.side, Data: data,
-						SentAt: sentAt,
-					})
-				}
-			}
-		}
-
-		r.mu.Lock()
-		if c.step >= r.segEnd {
-			c.state = stWaiting
-			if !c.doneSeg && (r.segEnd >= rt.T || c.got[r.segEnd&1] == c.need) {
-				c.doneSeg = true
-				r.done++
-				if r.done >= r.owned {
-					r.cond.Broadcast()
-				}
-			}
-		} else if c.got[c.step&1] == c.need {
-			c.state = stQueued
-			r.ready = append(r.ready, c)
-			r.cond.Signal()
-		} else {
-			c.state = stWaiting
-		}
-		r.mu.Unlock()
-	}
-}
-
-// arrive counts one halo arrival for (c, step) and wakes the chare (or
-// completes the segment) if that was the last outstanding dependency.
-func (r *rank) arrive(c *chare, step int) {
-	r.mu.Lock()
-	c.got[step&1]++
-	if c.state == stWaiting && c.step == step && c.got[step&1] == c.need {
-		if step < r.segEnd {
-			c.state = stQueued
-			r.ready = append(r.ready, c)
-			r.cond.Signal()
-		} else if !c.doneSeg {
-			// The chare already executed to the barrier; this arrival
-			// was its last outstanding next-segment halo.
-			c.doneSeg = true
-			r.done++
-			if r.done >= r.owned {
-				r.cond.Broadcast()
-			}
-		}
-	}
-	r.mu.Unlock()
-}
-
-// recvLoop applies inbound halos for the rank's chares. It runs for the
-// whole Run (across segments); message routing follows chareRank, which
-// only changes at quiesced barriers, so every delivery targets a chare
-// this rank currently owns.
-func (r *rank) recvLoop() {
-	rt := r.rt
-	depth, _ := rt.tr.(DepthReporter)
-	for {
-		m, ok := rt.tr.Recv(r.id)
-		if !ok {
-			return
-		}
-		if m.Kind != HaloMsg {
-			continue
-		}
-		c := rt.chares[m.Chare]
-		c.applyHalo(m.Dim, m.Side, m.Step&1, m.Data)
-		if !m.SentAt.IsZero() {
-			r.haloLat.Observe(time.Since(m.SentAt))
-		}
-		if rt.tc != nil {
-			now := time.Now()
-			rs := &rt.tc.recv[r.id]
-			rs.finishes = append(rs.finishes, flowRec{
-				destChare: m.Chare, dim: m.Dim, side: m.Side, step: m.Step,
-				tid: m.Chare, rank: r.id, at: now,
-			})
-			if depth != nil {
-				msgs, bytes := depth.Depth(r.id)
-				rs.samples = append(rs.samples, depthRec{at: now, msgs: msgs, bytes: bytes})
-			}
-		}
-		r.arrive(c, m.Step)
 	}
 }
 

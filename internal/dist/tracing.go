@@ -9,10 +9,10 @@ import (
 
 // The distributed tracer follows the counter layer's worker-local /
 // fold-at-exit discipline: while the run executes, every record is an
-// append to a buffer with exactly one writer — a worker goroutine's
-// shard, a recvLoop's rank shard, or the (single-threaded) barrier
-// records of the Run loop — so tracing adds no atomics and no shared
-// locks to the hot path. One fold at Run exit translates the buffers
+// append to a buffer with exactly one writer — an engine worker's shard
+// (its chare-steps, their sends, and the halos its drains apply) or the
+// barrier records of the Run loop — so tracing adds no atomics and no
+// shared locks to the hot path. One fold at Run exit translates the buffers
 // into the trace.Trace vocabulary: pid = rank+1 ("rank N" processes),
 // tid = chare id ("chare N" threads), spans per chare-step, flow arrows
 // per inter-rank halo, instants for migrations and AtSync barriers, and
@@ -37,8 +37,9 @@ type flowRec struct {
 	at                         time.Time
 }
 
-// depthRec is one mailbox-backlog sample.
+// depthRec is one sample of rank's mailbox backlog.
 type depthRec struct {
+	rank  int
 	at    time.Time
 	msgs  int
 	bytes int64
@@ -62,16 +63,11 @@ type residentRec struct {
 // workerShard is one global worker's private record buffers, padded so
 // neighbouring workers' appends do not false-share the slice headers.
 type workerShard struct {
-	spans []spanRec
-	flows []flowRec // send endpoints
-	_     [16]byte
-}
-
-// recvShard is one rank's private buffers, written only by its recvLoop.
-type recvShard struct {
-	finishes []flowRec
+	spans    []spanRec
+	flows    []flowRec // send endpoints
+	finishes []flowRec // receive endpoints, at the drain that applied them
 	samples  []depthRec
-	_        [16]byte
+	_        [32]byte
 }
 
 // tracer buffers a distributed run's trace records. Built only when
@@ -79,20 +75,14 @@ type recvShard struct {
 type tracer struct {
 	nchares, nd int
 	shards      []workerShard
-	recv        []recvShard
 	// instants and resident are written only by the Run loop at quiesced
 	// barriers.
 	instants []instantRec
 	resident []residentRec
 }
 
-func newTracer(nchares, nd, workers, ranks int) *tracer {
-	return &tracer{
-		nchares: nchares,
-		nd:      nd,
-		shards:  make([]workerShard, workers),
-		recv:    make([]recvShard, ranks),
-	}
+func newTracer(nchares, nd, workers int) *tracer {
+	return &tracer{nchares: nchares, nd: nd, shards: make([]workerShard, workers)}
 }
 
 // flowID derives the arrow identity from the receiver-side halo
@@ -112,7 +102,7 @@ func (tc *tracer) flowName(f flowRec) string {
 
 // fold translates the buffered records into tr. Called once, after the
 // run has quiesced — nothing is appending concurrently.
-func (tc *tracer) fold(tr *trace.Trace, ranks, workersPerRank int) {
+func (tc *tracer) fold(tr *trace.Trace, ranks int) {
 	for r := 0; r < ranks; r++ {
 		tr.SetProcessName(r+1, fmt.Sprintf("rank %d", r))
 	}
@@ -135,15 +125,12 @@ func (tc *tracer) fold(tr *trace.Trace, ranks, workersPerRank int) {
 		for _, f := range sh.flows {
 			tr.FlowStart(tc.flowID(f), tc.flowName(f), f.rank+1, f.tid, f.at)
 		}
-	}
-	for r := range tc.recv {
-		rs := &tc.recv[r]
-		for _, f := range rs.finishes {
+		for _, f := range sh.finishes {
 			tr.FlowFinish(tc.flowID(f), tc.flowName(f), f.rank+1, f.tid, f.at)
 		}
-		for _, d := range rs.samples {
-			tr.AddCounterPid(r+1, "mailbox depth", d.at, float64(d.msgs))
-			tr.AddCounterPid(r+1, "halo bytes in flight", d.at, float64(d.bytes))
+		for _, d := range sh.samples {
+			tr.AddCounterPid(d.rank+1, "mailbox depth", d.at, float64(d.msgs))
+			tr.AddCounterPid(d.rank+1, "halo bytes in flight", d.at, float64(d.bytes))
 		}
 	}
 	for _, in := range tc.instants {

@@ -49,9 +49,10 @@ type Stats struct {
 	MigrationBytes int64
 	// Migrations counts chare moves between ranks.
 	Migrations int64
-	// HaloLatency is the send-to-apply latency distribution of inter-rank
-	// halo messages, and BarrierWait each rank's wait at each segment
-	// barrier (own segment done to all ranks done). Transports leave both
+	// HaloLatency is the latency distribution of inter-rank halo
+	// messages, from send to the drain that applies them, and BarrierWait
+	// each rank's wait at each segment barrier, from the end of its last
+	// chare-step to the end of the segment. Transports leave both
 	// zero; the runtime fills them from its rank-local histograms when it
 	// snapshots Stats into a Result.
 	HaloLatency histo.Hist
@@ -65,26 +66,26 @@ func (s Stats) Bytes() int64 { return s.HaloBytes + s.MigrationBytes }
 // Transport moves messages between ranks. Send is asynchronous and
 // never blocks the sender (mailboxes are unbounded: the step-skew bound
 // of the halo protocol caps the backlog at one exchange phase per
-// neighbor, so unboundedness cannot run away); Recv blocks until a
-// message for the rank arrives or the transport closes. Same-rank halo
-// delivery bypasses the transport entirely, so every Send is an
-// inter-rank transfer and counts toward Stats.
+// neighbor, so unboundedness cannot run away); Recv never blocks. The
+// runtime has no receiving goroutine: a chare-step drains its rank's
+// mailbox before it runs. Same-rank halo delivery bypasses the
+// transport entirely, so every Send is an inter-rank transfer and counts
+// toward Stats.
 type Transport interface {
 	Send(m Msg)
-	// Recv returns the next message for rank; ok is false after Close
-	// drains the mailbox.
+	// Recv returns the oldest queued message for rank; ok is false when
+	// the mailbox is empty.
 	Recv(rank int) (m Msg, ok bool)
 	// CountMigration records a chare-state transfer between ranks. The
 	// in-process transport moves no bytes (ranks share an address
 	// space), but the accounting keeps migration traffic visible to the
 	// network bound exactly as an RPC transport's serialization would.
 	CountMigration(from, to int, bytes int64)
-	Close()
 	Stats() Stats
 }
 
 // DepthReporter is an optional Transport extension reporting a rank's
-// current mailbox backlog. The tracer samples it after each receive to
+// current mailbox backlog. The tracer samples it after each drained halo to
 // render the per-rank "mailbox depth" and "halo bytes in flight" counter
 // tracks; transports that cannot observe their queues simply don't
 // implement it and the tracks are omitted.
@@ -101,12 +102,10 @@ type LocalTransport struct {
 }
 
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []Msg
-	head   int
-	bytes  int64 // payload bytes currently queued
-	closed bool
+	mu    sync.Mutex
+	q     []Msg
+	head  int
+	bytes int64 // payload bytes currently queued
 }
 
 // NewLocalTransport builds a transport connecting ranks in-process
@@ -114,9 +113,7 @@ type mailbox struct {
 func NewLocalTransport(ranks int) *LocalTransport {
 	t := &LocalTransport{boxes: make([]*mailbox, ranks)}
 	for i := range t.boxes {
-		b := &mailbox{}
-		b.cond = sync.NewCond(&b.mu)
-		t.boxes[i] = b
+		t.boxes[i] = &mailbox{}
 	}
 	return t
 }
@@ -132,19 +129,15 @@ func (t *LocalTransport) Send(m Msg) {
 	b.mu.Lock()
 	b.q = append(b.q, m)
 	b.bytes += 8 * int64(len(m.Data))
-	b.cond.Signal()
 	b.mu.Unlock()
 }
 
-// Recv blocks until a message for rank arrives. After Close it drains
-// the remaining backlog, then reports ok=false.
+// Recv dequeues rank's oldest message, or reports ok=false on an empty
+// mailbox.
 func (t *LocalTransport) Recv(rank int) (Msg, bool) {
 	b := t.boxes[rank]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for b.head >= len(b.q) && !b.closed {
-		b.cond.Wait()
-	}
 	if b.head >= len(b.q) {
 		return Msg{}, false
 	}
@@ -165,17 +158,6 @@ func (t *LocalTransport) CountMigration(from, to int, bytes int64) {
 	t.stats.Migrations++
 	t.stats.MigrationBytes += bytes
 	t.mu.Unlock()
-}
-
-// Close wakes every blocked Recv; each drains its backlog and then
-// reports ok=false.
-func (t *LocalTransport) Close() {
-	for _, b := range t.boxes {
-		b.mu.Lock()
-		b.closed = true
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
 }
 
 // Depth reports rank's current mailbox backlog (DepthReporter).

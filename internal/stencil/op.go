@@ -250,13 +250,13 @@ func (op *Op) row(src, dst []float64, off, n int) {
 // like every other kernel here.
 
 // Kernel names the row kernel ApplyBox runs: "avx2" when the rows go
-// through the internal/vec assembly, "go" when the Go loops run alone: on a
-// host without AVX2 and on grids beyond grid.MaxRowDims. With periodic
-// boundaries the cells within Order of any seam take the Go
-// modular-indexing path either way, and the other cells run the named
-// kernel.
+// through the internal/vec assembly, "go" when the Go loops run alone: on
+// a host without AVX2, and on periodic grids beyond grid.MaxRowDims,
+// whose every cell takes the Go modular-indexing path. On other periodic
+// grids the cells within Order of any seam take that path, and the other
+// cells run the named kernel.
 func (op *Op) Kernel() string {
-	if op.G.NumDims() > grid.MaxRowDims {
+	if op.periodic && op.G.NumDims() > grid.MaxRowDims {
 		return "go"
 	}
 	return vec.Kernel()
@@ -442,47 +442,25 @@ func (op *Op) wrapCells(src, dst []float64, pt []int, base, from, to int) {
 }
 
 // applySlow is the closure-based fallback for grids beyond grid.MaxRowDims,
-// where the allocation-free iterator does not apply. It reproduces the fast
-// paths' semantics at any dimensionality.
+// where the allocation-free iterator does not apply. A Dirichlet row runs
+// the row kernels; a periodic row runs the wrapped per-cell loop.
 func (op *Op) applySlow(b grid.Box, src, dst []float64) int64 {
 	bb := b.Intersect(op.UpdateRegion())
 	if bb.Empty() {
 		return 0
 	}
 	var updates int64
-	if op.periodic {
-		last := op.G.NumDims() - 1
-		pt := make([]int, last+1)
-		op.G.ForEachRow(bb, func(off, length int, start []int) {
-			updates += int64(length)
-			copy(pt, start)
-			x0 := start[last]
-			op.wrapCells(src, dst, pt, off-x0, x0, x0+length)
-		})
-		return updates
-	}
-	offs := op.offs
-	np := len(offs)
-	op.G.ForEachRow(bb, func(off, length int, _ []int) {
-		for i := off; i < off+length; i++ {
-			var acc float64
-			if op.vc != nil {
-				acc = op.vc.Data[0][i] * src[i]
-				for p := 1; p < np; p++ {
-					acc += op.vc.Data[p][i] * src[i+offs[p]]
-				}
-			} else {
-				acc = op.coeffs[0] * src[i]
-				for p := 1; p < np; p++ {
-					acc += op.coeffs[p] * src[i+offs[p]]
-				}
-			}
-			if op.source != nil {
-				acc += op.source[i]
-			}
-			dst[i] = acc
-		}
+	last := op.G.NumDims() - 1
+	pt := make([]int, last+1)
+	op.G.ForEachRow(bb, func(off, length int, start []int) {
 		updates += int64(length)
+		if !op.periodic {
+			op.row(src, dst, off, length)
+			return
+		}
+		copy(pt, start)
+		x0 := start[last]
+		op.wrapCells(src, dst, pt, off-x0, x0, x0+length)
 	})
 	return updates
 }

@@ -231,14 +231,19 @@ func TestApply7ptMatchesOracleAcrossCalls(t *testing.T) {
 	checkAcrossCalls(t, NewOp(s, randomGrid(r, []int{20, 30, 135})))
 }
 
+// slowDims is a 3⁸×11 grid, beyond grid.MaxRowDims, so ApplyBox runs its
+// rows through applySlow; at order 1 each row is 1 to 9 interior cells.
+var slowDims = []int{3, 3, 3, 3, 3, 3, 3, 3, 11}
+
 // The boxes here span 3 planes of 3 rows, so each vec.StarBox call crosses
-// rows and planes.
+// rows and planes. The order-1 star on slowDims runs one row per call.
 func TestApplyGenericMatchesOracleHighOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for _, order := range []int{2, 3} {
 		g := randomGrid(r, []int{2*order + 3, 2*order + 3, 2*order + 133})
 		checkRowsAgainstOracle(t, NewOp(NewStar(3, order), g), nil)
 	}
+	checkRowsAgainstOracle(t, NewOp(NewStar(len(slowDims), 1), randomGrid(r, slowDims)), nil)
 }
 
 // An order-2 interior of 18·28·131 cells, above boxCells, takes ApplyBox
@@ -258,7 +263,8 @@ func randomBandedOp(r *rand.Rand, order int, g *grid.Grid) (*Op, *Coefficients) 
 }
 
 // The banded boxes here span 3 planes of 3 rows, so each vec.BandBox call
-// crosses rows and planes, at orders 1 and 2.
+// crosses rows and planes, at orders 1 and 2. The order-1 star on slowDims
+// runs one row per call.
 func TestApplyBandedMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, order := range []int{1, 2} {
@@ -266,6 +272,8 @@ func TestApplyBandedMatchesOracle(t *testing.T) {
 		op, c := randomBandedOp(r, order, g)
 		checkRowsAgainstOracle(t, op, c)
 	}
+	op, c := randomBandedOp(r, 1, randomGrid(r, slowDims))
+	checkRowsAgainstOracle(t, op, c)
 }
 
 // A banded interior of 18·28·133 cells, above boxCells, takes ApplyBox two

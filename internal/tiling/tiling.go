@@ -264,9 +264,11 @@ func EvenCuts(lo, hi, c int) []int {
 }
 
 // primeFactorsDesc factors n into primes, largest first. n <= 1 yields nil.
+// The trial divisors stop at f <= n/f, which, unlike f*f <= n, cannot
+// overflow for n near the largest int.
 func primeFactorsDesc(n int) []int {
 	var fs []int
-	for f := 2; f*f <= n; f++ {
+	for f := 2; f <= n/f; f++ {
 		for n%f == 0 {
 			fs = append(fs, f)
 			n /= f

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +104,25 @@ func TestDecomposeCountsForBounds(t *testing.T) {
 		}
 		if prod > tc.n {
 			t.Errorf("ext=%v n=%d: product %d exceeds n", tc.ext, tc.n, prod)
+		}
+	}
+}
+
+// primeFactorsDesc factors as it did before its loop bound changed from
+// f*f <= n to f <= n/f. 2147483647 is the largest int32, a prime: under
+// GOARCH=386 the old f*f wrapped, so the old loop ran about 2·10⁹ trial
+// divisions on it where the new one runs 46,339. A prime near the largest
+// int64 takes about 3·10⁹ even now, so it is not run here.
+func TestPrimeFactorsDesc(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want []int
+	}{
+		{0, nil}, {1, nil}, {2, []int{2}}, {49, []int{7, 7}},
+		{210, []int{7, 5, 3, 2}}, {2147483647, []int{2147483647}},
+	} {
+		if got := primeFactorsDesc(tc.n); !slices.Equal(got, tc.want) {
+			t.Errorf("primeFactorsDesc(%d) = %v, want %v", tc.n, got, tc.want)
 		}
 	}
 }

@@ -223,8 +223,9 @@ type Report struct {
 	FlopsPerUpdate int
 	// Kernel names the row kernel that ran: "avx2" for the vector
 	// assembly, constant or banded, "go" for the Go loops alone (no AVX2
-	// or not amd64, or more than grid.MaxRowDims dimensions). A rate
-	// compared across hosts means little unless the kernel is known.
+	// or not amd64, or a periodic grid of more than grid.MaxRowDims
+	// dimensions). A rate compared across hosts means little unless the
+	// kernel is known.
 	Kernel string
 	// Sched carries per-worker scheduler counters for dependency-scheduled
 	// runs (parks, wakeups issued, queue pops, empty polls); nil under

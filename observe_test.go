@@ -186,6 +186,26 @@ func TestReportKernel(t *testing.T) {
 			}
 		}
 	}
+	// Beyond grid.MaxRowDims a Dirichlet grid still runs its rows on the
+	// row kernels, while every cell of a periodic one takes the Go
+	// wrapped loop.
+	for _, periodic := range []bool{false, true} {
+		s, err := NewSolver(Config{Dims: []int{3, 3, 3, 3, 3, 3, 3, 3, 5}, Workers: 2, Scheme: Naive, Periodic: periodic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Execute(nil, RunSpec{Timesteps: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want
+		if periodic {
+			w = "go"
+		}
+		if got := out.Report.Kernel; got != w {
+			t.Errorf("9D periodic=%v: kernel %q, want %q", periodic, got, w)
+		}
+	}
 }
 
 // TestRenderFigureJSON smoke-checks the figure JSON entry point.

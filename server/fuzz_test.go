@@ -6,15 +6,18 @@ import (
 	"testing"
 
 	"nustencil"
+	"nustencil/internal/dist"
 )
 
 // FuzzJobSpec drives untrusted job specs through admission as the server
 // takes them: decode as handleSubmit does, apply the defaults, validate
 // under small limits, and for an admitted spec build its solver and
 // initial condition. Nothing may panic, an admitted spec's deadline lies
-// in (0, MaxDeadline], and its encoding survives a decode byte for byte,
-// which is the replay contract. It never executes a spec: its workers and
-// ranks would start goroutines, and pin_threads would lock OS threads.
+// in (0, MaxDeadline], its workers, ranks and chares are within
+// maxWorkers, maxRanks and maxChares, and its encoding survives a decode
+// byte for byte, which is the replay contract. It never executes a spec:
+// its workers and ranks would start goroutines, and pin_threads would
+// lock OS threads.
 func FuzzJobSpec(f *testing.F) {
 	cube := func(n int) []int { return []int{n, n, n} }
 	job := func(p nustencil.Config, steps int) JobSpec {
@@ -36,6 +39,13 @@ func FuzzJobSpec(f *testing.F) {
 	for _, seed := range crashSpecs {
 		f.Add([]byte(seed))
 	}
+	for _, spec := range executorSpecs {
+		seed, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	f.Add([]byte(`{"problem":{"dims":[8,8]},"run":{"timesteps":1},"deadline_ms":9223372036855}`))
 	// 4095 grid-sized coefficient bands within a 4096-cell limit.
 	f.Add([]byte(`{"problem":{"dims":[4096],"order":2047,"banded":true},"run":{"timesteps":1}}`))
@@ -54,6 +64,14 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if d := cfg.deadline(spec.DeadlineMS); d <= 0 || d > cfg.MaxDeadline {
 			t.Fatalf("deadline_ms %d admitted as %v, want (0, %v]", spec.DeadlineMS, d, cfg.MaxDeadline)
+		}
+		p := spec.Problem
+		factor := p.ChareFactor
+		if factor == 0 {
+			factor = dist.DefaultChareFactor
+		}
+		if p.Workers > maxWorkers || p.Ranks > maxRanks || float64(p.Ranks)*float64(factor) > maxChares {
+			t.Fatalf("admitted %d workers on %d ranks of chare factor %d", p.Workers, p.Ranks, p.ChareFactor)
 		}
 		first, err := json.Marshal(spec)
 		if err != nil {

@@ -12,7 +12,9 @@
 // so a job that fails mid-plan (deadline expiry, a panicking kernel)
 // poisons only its own solver (nustencil.ErrPoisoned) and never another
 // tenant's state, and the executor recovers a panic anywhere else in a
-// job's body as that job's failure.
+// job's body as that job's failure. A multi-rank job runs its
+// chare-steps on the same engine, so a panicking chare-step fails that
+// job alone too.
 package server
 
 import (
@@ -24,6 +26,7 @@ import (
 	"time"
 
 	"nustencil"
+	"nustencil/internal/dist"
 )
 
 // Init names for JobSpec.Init.
@@ -102,6 +105,14 @@ func (spec JobSpec) validate(limits Limits) error {
 		return fmt.Errorf("%w: banded coefficients of order %d exceed %d times the %d-cell limit",
 			ErrInvalidJob, spec.Problem.Order, bandedGrids, limits.MaxCells)
 	}
+	if p := spec.Problem; p.Workers > maxWorkers || p.Ranks > maxRanks {
+		return fmt.Errorf("%w: %d workers on %d ranks exceeds the limit of %d workers and %d ranks",
+			ErrInvalidJob, p.Workers, p.Ranks, maxWorkers, maxRanks)
+	}
+	if !charesFit(spec.Problem.Ranks, spec.Problem.ChareFactor) {
+		return fmt.Errorf("%w: %d ranks of chare factor %d exceed the %d-chare limit",
+			ErrInvalidJob, spec.Problem.Ranks, spec.Problem.ChareFactor, maxChares)
+	}
 	if spec.Run.Timesteps < 0 {
 		return fmt.Errorf("%w: negative timesteps", ErrInvalidJob)
 	}
@@ -132,6 +143,27 @@ func bandsFit(cells int64, nd, order int, maxCells int64) bool {
 	}
 	// points ≤ budget/cells, that is 2·nd·order ≤ budget/cells − 1.
 	return int64(max(order, 1)) <= (budget/cells-1)/int64(2*nd)
+}
+
+// maxWorkers and maxRanks bound the goroutines a spec makes the executor
+// start (ranks × workers-per-rank engine workers, and with pin_threads as
+// many OS threads), and maxChares a distributed spec's chares, ranks ×
+// chare_factor. They also keep the worker and chare counts that
+// tiling.DecomposeCountsFor factors small.
+const (
+	maxWorkers = 256
+	maxRanks   = 256
+	maxChares  = 4096
+)
+
+// charesFit reports whether ranks × chareFactor (a chareFactor of 0 counts
+// as dist.DefaultChareFactor) is at most maxChares, without overflowing the
+// product.
+func charesFit(ranks, chareFactor int) bool {
+	if chareFactor == 0 {
+		chareFactor = dist.DefaultChareFactor
+	}
+	return ranks <= 0 || chareFactor <= maxChares/ranks
 }
 
 // Limits are the admission-time resource bounds.

@@ -204,6 +204,47 @@ func TestSubmitBoundsBandedCoefficients(t *testing.T) {
 	}
 }
 
+// executorSpecs ask the executor for more than admission allows: a
+// million workers, a million ranks, and two ranks of a chare factor whose
+// product with them overflows. No test may execute one: a million workers
+// are a million goroutines, and with pin_threads as many OS threads.
+var executorSpecs = []JobSpec{
+	{Problem: nustencil.Config{Dims: []int{8, 8, 8}, Workers: 1 << 20}, Run: nustencil.RunSpec{Timesteps: 1}},
+	{Problem: nustencil.Config{Dims: []int{8, 8, 8}, Ranks: 1 << 20}, Run: nustencil.RunSpec{Timesteps: 1}},
+	{Problem: nustencil.Config{Dims: []int{8, 8, 8}, Ranks: 2, ChareFactor: math.MaxInt}, Run: nustencil.RunSpec{Timesteps: 1}},
+}
+
+// TestSubmitBoundsExecutorSize: admission refuses the executorSpecs with
+// 400, both in validate and through POST /jobs to a server whose job body
+// is a stub, and admits a spec exactly at maxWorkers, maxRanks and
+// maxChares.
+func TestSubmitBoundsExecutorSize(t *testing.T) {
+	srv := New(Config{Executors: 1, runJob: func(context.Context, JobSpec) (*nustencil.RunOutput, error) {
+		return &nustencil.RunOutput{}, nil
+	}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i, spec := range executorSpecs {
+		if err := spec.withDefaults().validate(Limits{}); !errors.Is(err, ErrInvalidJob) {
+			t.Errorf("spec %d: validate returned %v, want ErrInvalidJob", i, err)
+		}
+		if code, _, raw := postJob(t, ts, spec); code != http.StatusBadRequest {
+			t.Errorf("spec %d: got %d %s", i, code, raw)
+		}
+	}
+	at := JobSpec{Problem: nustencil.Config{
+		Dims: []int{8, 8, 8}, Workers: maxWorkers, Ranks: maxRanks, ChareFactor: maxChares / maxRanks,
+	}}
+	if err := at.withDefaults().validate(Limits{}); err != nil {
+		t.Errorf("spec at the bounds refused: %v", err)
+	}
+	// A chare factor of 0 counts as dist.DefaultChareFactor (4).
+	if !charesFit(maxChares/4, 0) || charesFit(maxChares/4+1, 0) {
+		t.Errorf("charesFit does not count a chare factor of 0 as 4")
+	}
+}
+
 // TestQuotaRejection drives the coordinator into both quota walls with
 // a blocking job body, asserting 429s for the overflow and completion
 // for everything admitted.
