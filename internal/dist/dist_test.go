@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -105,54 +106,137 @@ func runSingle(g *grid.Grid, st *stencil.Stencil, T int) *grid.Grid {
 	return ref
 }
 
+// bitExactCase is one distributed run checked against the single-process
+// sweep.
+type bitExactCase struct {
+	name  string
+	dims  []int
+	opts  Options
+	T     int
+	order int
+}
+
+// bitExactCases are distributed runs across rank counts, chare factors,
+// worker pools, stencil orders, dimensionalities and segment lengths.
+var bitExactCases = []bitExactCase{
+	{name: "2ranks", dims: []int{18, 15, 14}, opts: Options{Ranks: 2, ChareFactor: 3, WorkersPerRank: 2}, T: 6, order: 1},
+	{name: "3ranks-lb", dims: []int{20, 17, 13}, opts: Options{Ranks: 3, ChareFactor: 4, WorkersPerRank: 2, LBPeriod: 2}, T: 7, order: 1},
+	{name: "2d-order2", dims: []int{30, 26}, opts: Options{Ranks: 2, ChareFactor: 5, WorkersPerRank: 1}, T: 5, order: 2},
+	{name: "2d-order2-thin", dims: []int{66, 66}, opts: Options{Ranks: 2, ChareFactor: 16, WorkersPerRank: 2}, T: 20, order: 2},
+	{name: "1d", dims: []int{97}, opts: Options{Ranks: 4, ChareFactor: 2, WorkersPerRank: 1}, T: 4, order: 1},
+	{name: "more-ranks-than-chares-absorb", dims: []int{5, 5, 5}, opts: Options{Ranks: 8, ChareFactor: 4, WorkersPerRank: 1}, T: 3, order: 1},
+	// 64 chares: segments of 99 and 51 steps run as engine.Runs of
+	// 64, 35 and 51 steps, the last starting at an odd step.
+	{name: "windows-lb", dims: []int{40, 40}, opts: Options{Ranks: 2, ChareFactor: 32, WorkersPerRank: 2, LBPeriod: 99}, T: 150, order: 1},
+}
+
+// checkBitExact runs tc distributed, calling prepare (when not nil)
+// between New and Run, and fails unless every cell ends bit-identical to
+// the single-process sweep and the run counts every update.
+func checkBitExact(t *testing.T, tc bitExactCase, prepare func(rt *Runtime, g *grid.Grid)) {
+	t.Helper()
+	st := stencil.NewStar(len(tc.dims), tc.order)
+	g := grid.New(tc.dims)
+	fillTest(g)
+	ref := runSingle(g, st, tc.T)
+
+	rt, err := New(Problem{Grid: g, Stencil: st}, tc.opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if prepare != nil {
+		prepare(rt, g)
+	}
+	res, err := rt.Run(context.Background(), tc.T)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, v := range g.Buf(tc.T) {
+		if want := ref.Buf(tc.T)[i]; v != want {
+			t.Fatalf("cell %d is %v, the single-process sweep's %v", i, v, want)
+		}
+	}
+	wantUpdates := int64(tc.T)
+	for _, d := range tc.dims {
+		wantUpdates *= int64(d - 2*tc.order)
+	}
+	if res.Updates != wantUpdates {
+		t.Fatalf("Updates = %d, want %d", res.Updates, wantUpdates)
+	}
+}
+
 // TestRuntimeBitExact pins the tentpole's correctness bar at the dist
 // level: a multi-rank, overdecomposed run with per-step halo exchange
 // produces bit-identical cell values to the single-process sweep, across
 // rank counts, chare factors, worker pools, and segment lengths.
 func TestRuntimeBitExact(t *testing.T) {
-	cases := []struct {
-		name  string
-		dims  []int
-		opts  Options
-		T     int
-		order int
-	}{
-		{name: "2ranks", dims: []int{18, 15, 14}, opts: Options{Ranks: 2, ChareFactor: 3, WorkersPerRank: 2}, T: 6, order: 1},
-		{name: "3ranks-lb", dims: []int{20, 17, 13}, opts: Options{Ranks: 3, ChareFactor: 4, WorkersPerRank: 2, LBPeriod: 2}, T: 7, order: 1},
-		{name: "2d-order2", dims: []int{30, 26}, opts: Options{Ranks: 2, ChareFactor: 5, WorkersPerRank: 1}, T: 5, order: 2},
-		{name: "2d-order2-thin", dims: []int{66, 66}, opts: Options{Ranks: 2, ChareFactor: 16, WorkersPerRank: 2}, T: 20, order: 2},
-		{name: "1d", dims: []int{97}, opts: Options{Ranks: 4, ChareFactor: 2, WorkersPerRank: 1}, T: 4, order: 1},
-		{name: "more-ranks-than-chares-absorb", dims: []int{5, 5, 5}, opts: Options{Ranks: 8, ChareFactor: 4, WorkersPerRank: 1}, T: 3, order: 1},
-		// 64 chares: segments of 99 and 51 steps run as engine.Runs of
-		// 64, 35 and 51 steps, the last starting at an odd step.
-		{name: "windows-lb", dims: []int{40, 40}, opts: Options{Ranks: 2, ChareFactor: 32, WorkersPerRank: 2, LBPeriod: 99}, T: 150, order: 1},
+	for _, tc := range bitExactCases {
+		t.Run(tc.name, func(t *testing.T) { checkBitExact(t, tc, nil) })
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := stencil.NewStar(len(tc.dims), tc.order)
-			g := grid.New(tc.dims)
-			fillTest(g)
-			ref := runSingle(g, st, tc.T)
+}
 
-			rt, err := New(Problem{Grid: g, Stencil: st}, tc.opts)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			res, err := rt.Run(context.Background(), tc.T)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if g.MaxAbsDiff(tc.T, ref, tc.T) != 0 {
-				t.Fatalf("distributed result differs from single-process sweep")
-			}
-			wantUpdates := int64(tc.T)
-			for _, d := range tc.dims {
-				wantUpdates *= int64(d - 2*tc.order)
-			}
-			if res.Updates != wantUpdates {
-				t.Fatalf("Updates = %d, want %d", res.Updates, wantUpdates)
-			}
+// TestScatterSkipsUnreadCells pins that the scatter may leave every
+// buffer-1 cell off the global boundary ring unfilled: after New, each
+// such cell of every chare is set to NaN, and every bitExactCases run
+// still ends bit-identical to the single-process sweep, so no step reads
+// one of them before a step or a halo writes it.
+func TestScatterSkipsUnreadCells(t *testing.T) {
+	for _, tc := range bitExactCases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkBitExact(t, tc, func(rt *Runtime, g *grid.Grid) {
+				interior := g.Interior(tc.order)
+				global := make([]int, len(tc.dims))
+				poisoned := 0
+				for _, c := range rt.chares {
+					buf := c.g.Buf(1)
+					c.g.ForEachRow(c.g.Bounds(), func(off, length int, pt []int) {
+						for j := 0; j < length; j++ {
+							for k := range global {
+								global[k] = pt[k] + c.off[k]
+							}
+							global[len(global)-1] += j
+							if interior.Contains(global) {
+								buf[off+j] = math.NaN()
+								poisoned++
+							}
+						}
+					})
+				}
+				if poisoned == 0 {
+					t.Fatalf("no buffer-1 cell lies in the interior")
+				}
+			})
 		})
+	}
+}
+
+// TestRunTwiceIsAnError pins that a Runtime runs once: a second Run
+// returns an error and leaves the result of the first in the global grid.
+// Its chares would restart at local parity 0 against the first run's
+// base, so running on would land far from the reference.
+func TestRunTwiceIsAnError(t *testing.T) {
+	dims := []int{14, 14, 14}
+	st := stencil.NewStar(len(dims), 1)
+	g := grid.New(dims)
+	fillTest(g)
+	ref := runSingle(g, st, 3)
+
+	rt, err := New(Problem{Grid: g, Stencil: st}, Options{Ranks: 2, ChareFactor: 2, WorkersPerRank: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := rt.Run(context.Background(), 3); err != nil {
+		t.Fatalf("first Run: %v", err)
+	}
+	if g.MaxAbsDiff(3, ref, 3) != 0 {
+		t.Fatalf("first Run differs from the single-process sweep")
+	}
+	after := g.Clone()
+	if _, err := rt.Run(context.Background(), 3); err == nil {
+		t.Fatalf("second Run on one Runtime succeeded")
+	}
+	if g.MaxAbsDiff(0, after, 0) != 0 || g.MaxAbsDiff(1, after, 1) != 0 {
+		t.Fatalf("a refused second Run changed the global grid")
 	}
 }
 

@@ -7,7 +7,9 @@
 // tile of engine.Run, the executor of the single-process path, one run
 // per window of at most windowTiles chare-steps: the step depends on the
 // chare's and its neighbors' previous steps, whose halos it reads, and a
-// worker of the chare's rank runs it.
+// worker of the chare's rank runs it. The scatter that fills the
+// chares and the gather that drains them are engine.Runs too, each
+// chare on a worker of its rank.
 // Overdecomposition gives the load balancer freedom to migrate hot
 // chares between ranks at those barriers (the Charm++ AtSync pattern).
 //

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,9 +18,10 @@ import (
 
 // Problem is the global state a distributed run advances: the solver's
 // grid (current parity Base), stencil, and optional per-cell
-// coefficients and source term. The runtime scatters it into per-chare
-// grids at construction and gathers the result back on success, so a
-// failed run leaves the global grid untouched.
+// coefficients and source term. New scatters it into per-chare grids and
+// a successful Run gathers the result back, each chare filled and
+// drained on a worker of its own rank, so a failed run leaves the global
+// grid untouched.
 type Problem struct {
 	Grid *grid.Grid
 	// Base is the parity of the grid buffer holding the current state
@@ -86,19 +88,59 @@ type Result struct {
 	Net Stats
 }
 
-// neighborRef names one face neighbor: the adjacent chare along dim on
-// side (-1 low, +1 high).
-type neighborRef struct {
-	id        int
-	dim, side int
+// face is a chare's side toward one lattice neighbor: the neighbor nb
+// along dim on side (-1 low, +1 high), the rows of the send slab (the
+// owned cells, order thick, that nb reads) and of the ghost slab (where
+// nb's halo lands), as flat offsets in the chare grid of rows n cells
+// long. A chare's send slab and its neighbor's facing ghost slab have one
+// shape, so their rows pair up in order, and a payload is the send slab's
+// rows back to back.
+type face struct {
+	nb, dim, side int
+	send, ghost   []int
+	n             int
+	// buf holds the face's cross-rank payload of each parity, allocated at
+	// its first send and reused for the rest of the run (see Transport).
+	buf [2][]float64
 }
+
+// pack copies the send slab of src into the face's payload buffer of
+// parity p and returns the buffer.
+func (f *face) pack(src []float64, p int) []float64 {
+	if f.buf[p] == nil {
+		f.buf[p] = make([]float64, len(f.send)*f.n)
+	}
+	out := f.buf[p]
+	for i, off := range f.send {
+		copy(out[i*f.n:], src[off:off+f.n])
+	}
+	return out
+}
+
+// unpack copies a payload into the ghost slab of dst.
+func (f *face) unpack(dst, data []float64) {
+	for i, off := range f.ghost {
+		copy(dst[off:off+f.n], data[i*f.n:])
+	}
+}
+
+// copyTo copies the send slab of src straight into the ghost slab of dst
+// behind the neighbor's facing face to, with no payload in between.
+func (f *face) copyTo(src, dst []float64, to *face) {
+	for i, off := range f.send {
+		copy(dst[to.ghost[i]:to.ghost[i]+f.n], src[off:off+f.n])
+	}
+}
+
+// faceSlot is the index in chare.faces of the face along dim on side;
+// slot^1 is the opposite face, the one a neighbor's face points back to.
+func faceSlot(dim, side int) int { return 2*dim + (side+1)/2 }
 
 // chare is one block of the overdecomposed grid: a private grid of the
 // owned box plus a ghost ring of width order, the stencil kernel bound
-// to it, and its face neighbors.
+// to it, and its faces.
 type chare struct {
 	id         int
-	order      int
 	owned      grid.Box // global coordinates
 	off        []int    // global coordinate of the local origin (owned.Lo − order)
 	ownedLocal grid.Box // owned box in local coordinates
@@ -106,9 +148,12 @@ type chare struct {
 	op         *stencil.Op
 	coeffs     *stencil.Coefficients
 	src        []float64
-	neighbors  []neighborRef
-	segBusy    time.Duration // execution time since the last balance point
-	sink       float64       // keeps LoadFunc spins observable
+	// faces holds each face at its faceSlot; nb is -1 where the lattice
+	// ends.
+	faces   []face
+	worker  int           // the worker that ran the chare's latest step
+	segBusy time.Duration // execution time since the last balance point
+	sink    float64       // keeps LoadFunc spins observable
 }
 
 // localIndex maps a global point inside the chare's grown region to its
@@ -121,56 +166,25 @@ func (c *chare) localIndex(globalPt []int) int {
 	return idx
 }
 
-// sendSlab is the local-coordinate box of owned cells the (dim, side)
-// neighbor reads: the face slab of width order.
-func (c *chare) sendSlab(dim, side int) grid.Box {
-	b := c.ownedLocal.Clone()
+// newFace builds the chare's face toward neighbor nb along dim on side
+// for a stencil of the given order.
+func (c *chare) newFace(nb, dim, side, order int) face {
+	send, ghost := c.ownedLocal.Clone(), c.ownedLocal.Clone()
 	if side < 0 {
-		b.Hi[dim] = b.Lo[dim] + c.order
+		send.Hi[dim] = send.Lo[dim] + order
+		ghost.Hi[dim] = ghost.Lo[dim]
+		ghost.Lo[dim] -= order
 	} else {
-		b.Lo[dim] = b.Hi[dim] - c.order
+		send.Lo[dim] = send.Hi[dim] - order
+		ghost.Lo[dim] = ghost.Hi[dim]
+		ghost.Hi[dim] += order
 	}
-	return b
-}
-
-// ghostSlab is the local-coordinate ghost box on side of dim, where the
-// (dim, side) neighbor's halo lands.
-func (c *chare) ghostSlab(dim, side int) grid.Box {
-	b := c.ownedLocal.Clone()
-	if side < 0 {
-		b.Hi[dim] = b.Lo[dim]
-		b.Lo[dim] -= c.order
-	} else {
-		b.Lo[dim] = b.Hi[dim]
-		b.Hi[dim] += c.order
+	rows := func(b grid.Box) []int {
+		var offs []int
+		c.g.ForEachRow(b, func(off, _ int, _ []int) { offs = append(offs, off) })
+		return offs
 	}
-	return b
-}
-
-// packHalo flattens the (dim, side) send slab of the parity buffer into
-// a payload, row-major.
-func (c *chare) packHalo(dim, side, parity int) []float64 {
-	slab := c.sendSlab(dim, side)
-	out := make([]float64, 0, slab.Size())
-	src := c.g.Buf(parity)
-	c.g.ForEachRow(slab, func(off, length int, _ []int) {
-		out = append(out, src[off:off+length]...)
-	})
-	return out
-}
-
-// applyHalo unpacks a payload into the (dim, side) ghost slab of the
-// parity buffer. Ghost cells are disjoint from every owned cell and
-// from other faces' ghosts, so concurrent applies and a concurrent
-// owner execution never touch the same element.
-func (c *chare) applyHalo(dim, side, parity int, data []float64) {
-	slab := c.ghostSlab(dim, side)
-	dst := c.g.Buf(parity)
-	i := 0
-	c.g.ForEachRow(slab, func(off, length int, _ []int) {
-		copy(dst[off:off+length], data[i:i+length])
-		i += length
-	})
+	return face{nb: nb, dim: dim, side: side, send: rows(send), ghost: rows(ghost), n: send.Extent(len(send.Lo) - 1)}
 }
 
 // stateBytes is the serialized size of the chare's migratable state:
@@ -202,7 +216,8 @@ const windowTiles = 1 << 12
 // Runtime executes one distributed run: chares spread over ranks,
 // advancing in segments between load-balance barriers, each segment a
 // sequence of engine.Runs of chare-step tiles with halo exchange inside
-// the tiles, migration at the barriers.
+// the tiles, migration at the barriers. A Runtime is single-use: its
+// chares hold the state of one run, so a second Run is an error.
 type Runtime struct {
 	prob  Problem
 	opts  Options
@@ -223,7 +238,8 @@ type Runtime struct {
 	busy []time.Duration
 	end  []time.Time
 
-	T int
+	T   int
+	ran bool // Run has been called
 	// winT0 is the first step of the engine.Run in flight, written only
 	// between runs.
 	winT0      int
@@ -236,8 +252,11 @@ type Runtime struct {
 }
 
 // New scatters the problem into chares and builds the rank runtimes.
-// The global grid is only read here; it is not written until a
-// successful Run gathers the result back.
+// The scatter is one engine.Run of one tile per chare, run by the worker
+// that runs the chare's first step, so each rank fills its own chares,
+// in parallel, on the thread that computes them; a panic there returns
+// as *engine.PanicError. The global grid is only read here; it is not
+// written until a successful Run gathers the result back.
 func New(prob Problem, opts Options) (*Runtime, error) {
 	if opts.Ranks < 1 {
 		return nil, fmt.Errorf("dist: ranks must be positive, got %d", opts.Ranks)
@@ -267,26 +286,36 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 		rt.tr = NewLocalTransport(opts.Ranks)
 	}
 	rt.depth, _ = rt.tr.(DepthReporter)
-	nd := prob.Grid.NumDims()
 	n := rt.lat.NumChares()
 	rt.chares = make([]*chare, n)
 	rt.chareRank = make([]int32, n)
-	for i := 0; i < n; i++ {
-		rt.chares[i] = rt.buildChare(i, order, nd)
+	for i := range rt.chareRank {
 		rt.chareRank[i] = int32(InitialRank(i, n, opts.Ranks))
 	}
+	first := rt.deal()
+	err := rt.perChare(func(c int) int { return first(c, 0) }, func(c int) {
+		rt.chares[c] = rt.buildChare(c)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: scatter: %w", err)
+	}
 	if opts.Trace != nil {
-		rt.tc = newTracer(n, nd, workers)
+		rt.tc = newTracer(n, prob.Grid.NumDims(), workers)
 	}
 	return rt, nil
 }
 
 // buildChare allocates chare i's private grid (owned extent plus a
-// ghost ring of width order per side), copies the current global state
-// into both local buffers — interior values from the Base parity,
-// boundary-ring values shared by both global buffers — and binds the
-// kernel, coefficients and source to the local grid.
-func (rt *Runtime) buildChare(i, order, nd int) *chare {
+// ghost ring of width order per side) and fills it from the Base parity
+// of the global grid: buffer 0 with the whole region, buffer 1 with only
+// the region's cells on the global boundary ring, which no step writes.
+// Every other buffer-1 cell is written before step 1 reads it: the owned
+// cells by step 0, the face ghosts by the halos step 0 pushes; the ghost
+// ring's corners are never read by a star. It then binds the kernel,
+// coefficients and source to the local grid and builds the faces.
+func (rt *Runtime) buildChare(i int) *chare {
+	gg := rt.prob.Grid
+	order, nd := rt.prob.Stencil.Order, gg.NumDims()
 	owned := rt.lat.Box(i)
 	localDims := make([]int, nd)
 	off := make([]int, nd)
@@ -296,21 +325,33 @@ func (rt *Runtime) buildChare(i, order, nd int) *chare {
 	}
 	c := &chare{
 		id:    i,
-		order: order,
 		owned: owned,
 		off:   off,
 		g:     grid.New(localDims),
 	}
 	c.ownedLocal = c.g.Interior(order)
 
-	gg := rt.prob.Grid
+	// One pass over the region's rows: each goes whole into buffer 0, and
+	// into buffer 1 whole if a leading coordinate is off the interior,
+	// else only its ends beyond the interior (head and tail cells).
 	src := gg.Buf(rt.prob.Base)
-	region := owned.Grow(order) // inside gg.Bounds(): owned ⊆ interior
 	d0, d1 := c.g.Buf(0), c.g.Buf(1)
+	region := owned.Grow(order) // inside gg.Bounds(): owned ⊆ interior
+	interior := gg.Interior(order)
+	last := nd - 1
+	head := max(interior.Lo[last]-region.Lo[last], 0)
+	tail := max(region.Hi[last]-interior.Hi[last], 0)
 	gg.ForEachRow(region, func(goff, length int, pt []int) {
 		li := c.localIndex(pt)
 		copy(d0[li:li+length], src[goff:goff+length])
-		copy(d1[li:li+length], src[goff:goff+length])
+		for k := 0; k < last; k++ {
+			if pt[k] < interior.Lo[k] || pt[k] >= interior.Hi[k] {
+				copy(d1[li:li+length], src[goff:goff+length])
+				return
+			}
+		}
+		copy(d1[li:li+head], src[goff:goff+head])
+		copy(d1[li+length-tail:li+length], src[goff+length-tail:goff+length])
 	})
 
 	if rt.prob.Coeffs != nil {
@@ -337,22 +378,56 @@ func (rt *Runtime) buildChare(i, order, nd int) *chare {
 		c.op.SetSource(c.src)
 	}
 
+	c.faces = make([]face, 2*nd)
 	for k := 0; k < nd; k++ {
 		for _, side := range [2]int{-1, +1} {
-			if j := rt.lat.Neighbor(i, k, side); j >= 0 {
-				c.neighbors = append(c.neighbors, neighborRef{id: j, dim: k, side: side})
+			f := &c.faces[faceSlot(k, side)]
+			f.nb = rt.lat.Neighbor(i, k, side)
+			if f.nb >= 0 {
+				*f = c.newFace(f.nb, k, side, order)
 			}
 		}
 	}
 	return c
 }
 
+// perChare calls f(c) for every chare c in one engine.Run of one tile
+// per chare, chare c's run by worker owner(c), so that the ranks' workers
+// fill or drain their own chares in parallel. A panic in f returns as
+// *engine.PanicError.
+func (rt *Runtime) perChare(owner func(c int) int, f func(c int)) error {
+	n := len(rt.chares)
+	backing := make([]spacetime.Tile, n)
+	tiles := make([]*spacetime.Tile, n)
+	for c := range backing {
+		backing[c] = spacetime.Tile{Owner: owner(c), Node: -1}
+		tiles[c] = &backing[c]
+	}
+	_, err := engine.Run(tiles, engine.Config{
+		Workers: len(rt.busy),
+		Deps:    make([][]int, n),
+		Exec: func(_ int, tile *spacetime.Tile) int64 {
+			f(tile.ID)
+			return 0
+		},
+	})
+	return err
+}
+
 // Run advances every chare by timesteps steps and gathers the result
 // into the global grid. On error (cancellation, or a panicking
 // chare-step, returned as *engine.PanicError) the global grid is left
 // exactly as it was — scatter/gather isolation means a failed
-// distributed run does not corrupt the solver state.
+// distributed run does not corrupt the solver state. The gather starts
+// only once every step has succeeded; like the scatter, it is one
+// engine.Run of one tile per chare, run by the worker that ran the
+// chare's last step. A Runtime runs once: a second call returns an
+// error and changes nothing.
 func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
+	if rt.ran {
+		return Result{}, errors.New("dist: Run called twice; a Runtime runs once")
+	}
+	rt.ran = true
 	rt.T = max(timesteps, 0)
 	updates := make([]int64, len(rt.busy))
 	for t0 := 0; t0 < rt.T; {
@@ -369,7 +444,9 @@ func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
 		t0 = t1
 	}
 	if rt.T > 0 {
-		rt.gather()
+		if err := rt.gather(); err != nil {
+			return Result{}, err
+		}
 	}
 	res := Result{
 		Chares:           len(rt.chares),
@@ -443,36 +520,51 @@ func (rt *Runtime) segment(ctx context.Context, t0, t1 int, updates []int64) err
 	return nil
 }
 
-// plan builds the tiles and dependencies of a window of steps steps;
-// a shorter window runs a prefix. Tile t·n + c is chare c's step
-// winT0+t. It runs on a worker of the chare's rank, as
-// Options.WorkersPerRank deals them, the rank's chares in id order. It
-// depends on the chare's and its lattice neighbors' previous step (the
-// halos it reads); the window's first step depends on nothing. Every
-// edge points one step back, so the graph is acyclic.
-func (rt *Runtime) plan(steps int) ([]*spacetime.Tile, [][]int) {
-	n, wpr := len(rt.chares), rt.opts.WorkersPerRank
-	pos := make([]int, n)
+// deal returns the worker that runs chare c's step t of a window under
+// the current ownership map, as Options.WorkersPerRank deals them: a
+// rank's chares in id order round-robin over its workers, the deal
+// shifting by one worker per step on a rank whose chare count is not a
+// multiple of WorkersPerRank.
+func (rt *Runtime) deal() func(c, t int) int {
+	wpr := rt.opts.WorkersPerRank
+	pos := make([]int, len(rt.chareRank))
 	dealt := make([]int, rt.opts.Ranks)
 	for c, r := range rt.chareRank {
 		pos[c] = dealt[r]
 		dealt[r]++
 	}
+	return func(c, t int) int {
+		r, k := int(rt.chareRank[c]), pos[c]
+		if dealt[r]%wpr != 0 {
+			k += t
+		}
+		return r*wpr + k%wpr
+	}
+}
+
+// plan builds the tiles and dependencies of a window of steps steps;
+// a shorter window runs a prefix. Tile t·n + c is chare c's step
+// winT0+t, run by the worker deal names. It depends on the chare's and
+// its lattice neighbors' previous step (the halos it reads); the
+// window's first step depends on nothing. Every edge points one step
+// back, so the graph is acyclic.
+func (rt *Runtime) plan(steps int) ([]*spacetime.Tile, [][]int) {
+	n := len(rt.chares)
+	owner := rt.deal()
 	backing := make([]spacetime.Tile, n*steps)
 	tiles := make([]*spacetime.Tile, len(backing))
 	deps := make([][]int, len(backing))
 	for i := range backing {
 		c, t := i%n, i/n
-		r, k := int(rt.chareRank[c]), pos[c]
-		if dealt[r]%wpr != 0 {
-			k += t
-		}
-		backing[i] = spacetime.Tile{T0: t, Owner: r*wpr + k%wpr, Node: -1}
+		backing[i] = spacetime.Tile{T0: t, Owner: owner(c, t), Node: -1}
 		tiles[i] = &backing[i]
 		if t > 0 {
-			d := append(make([]int, 0, 1+len(rt.chares[c].neighbors)), i-n)
-			for _, nb := range rt.chares[c].neighbors {
-				d = append(d, i-n-c+nb.id)
+			faces := rt.chares[c].faces
+			d := append(make([]int, 0, 1+len(faces)), i-n)
+			for _, f := range faces {
+				if f.nb >= 0 {
+					d = append(d, i-n-c+f.nb)
+				}
 			}
 			deps[i] = d
 		}
@@ -491,7 +583,7 @@ func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
 	rt.drain(r, sh)
 
 	start := time.Now()
-	n := c.op.ApplyBox(c.g.Bounds(), t)
+	n := c.op.ApplyBox(c.ownedLocal, t)
 	if rt.opts.LoadFunc != nil {
 		c.sink += spin(rt.opts.LoadFunc(c.id, t))
 	}
@@ -509,35 +601,43 @@ func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
 	if t+1 < rt.T {
 		rt.push(c, r, t+1, sh)
 	}
+	c.worker = w
 	rt.end[w] = time.Now()
 	return n
 }
 
 // push sends chare c's halos for step t to its neighbors. A neighbor on
-// c's own rank r gets its ghost slab written directly. That is safe while
-// the neighbor runs step t−1: ghost and owned cells are disjoint, and
-// step t−1 reads the other parity. Any other neighbor's halo goes through
-// the transport to the neighbor's rank.
+// c's own rank r gets its ghost slab copied straight from c's send slab.
+// That is safe while the neighbor runs step t−1: ghost and owned cells
+// are disjoint, and step t−1 reads the other parity. Any other neighbor's
+// halo is packed into the face's payload buffer of t's parity and goes
+// through the transport to the neighbor's rank.
 func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
 	parity := t & 1
-	for _, nb := range c.neighbors {
-		data := c.packHalo(nb.dim, nb.side, parity)
-		dest := int(rt.chareRank[nb.id])
-		if dest == r {
-			rt.chares[nb.id].applyHalo(nb.dim, -nb.side, parity, data)
+	src := c.g.Buf(parity)
+	for i := range c.faces {
+		f := &c.faces[i]
+		if f.nb < 0 {
 			continue
 		}
+		dest := int(rt.chareRank[f.nb])
+		if dest == r {
+			nb := rt.chares[f.nb]
+			f.copyTo(src, nb.g.Buf(parity), &nb.faces[i^1])
+			continue
+		}
+		data := f.pack(src, parity)
 		sentAt := time.Now()
 		if sh != nil {
 			sh.flows = append(sh.flows, flowRec{
-				destChare: nb.id, dim: nb.dim, side: -nb.side, step: t,
+				destChare: f.nb, dim: f.dim, side: -f.side, step: t,
 				tid: c.id, rank: r, at: sentAt,
 			})
 		}
 		rt.tr.Send(Msg{
 			Kind: HaloMsg, From: r, To: dest,
-			Chare: nb.id, Step: t,
-			Dim: nb.dim, Side: -nb.side, Data: data,
+			Chare: f.nb, Step: t,
+			Dim: f.dim, Side: -f.side, Data: data,
 			SentAt: sentAt,
 		})
 	}
@@ -564,7 +664,8 @@ func (rt *Runtime) drain(r int, sh *workerShard) {
 		if m.Kind != HaloMsg {
 			continue
 		}
-		rt.chares[m.Chare].applyHalo(m.Dim, m.Side, m.Step&1, m.Data)
+		c := rt.chares[m.Chare]
+		c.faces[faceSlot(m.Dim, m.Side)].unpack(c.g.Buf(m.Step), m.Data)
 		now := time.Now()
 		if !m.SentAt.IsZero() {
 			rk.haloLat.Observe(now.Sub(m.SentAt))
@@ -609,19 +710,21 @@ func (rt *Runtime) sampleResident() {
 }
 
 // gather copies every chare's owned cells from its final local buffer
-// into the global buffer of the final parity. The global boundary ring
-// is never written: both global buffers keep their (identical,
-// invariant) boundary values, exactly as a single-process run would.
-func (rt *Runtime) gather() {
+// into the global buffer of the final parity, each chare on the worker
+// that ran its last step (perChare). The global boundary ring is never
+// written: both global buffers keep their (identical, invariant)
+// boundary values, exactly as a single-process run would.
+func (rt *Runtime) gather() error {
 	gg := rt.prob.Grid
 	dst := gg.Buf(rt.prob.Base + rt.T)
-	for _, c := range rt.chares {
+	return rt.perChare(func(c int) int { return rt.chares[c].worker }, func(i int) {
+		c := rt.chares[i]
 		src := c.g.Buf(rt.T)
 		gg.ForEachRow(c.owned, func(goff, length int, pt []int) {
 			li := c.localIndex(pt)
 			copy(dst[goff:goff+length], src[li:li+length])
 		})
-	}
+	})
 }
 
 // rebalance runs the balancer on the last segment's measured per-chare

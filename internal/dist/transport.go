@@ -31,7 +31,9 @@ type Msg struct {
 	// Dim and Side name the receiver-side ghost slab (Side -1 is the low
 	// face, +1 the high face).
 	Dim, Side int
-	Data      []float64
+	// Data is the sender's payload buffer, not a copy; how long it stays
+	// valid is Transport's payload-lifetime contract.
+	Data []float64
 	// SentAt is stamped by the sender just before Send; the receiver
 	// observes apply-time minus SentAt into the halo-latency histogram.
 	SentAt time.Time
@@ -71,6 +73,16 @@ func (s Stats) Bytes() int64 { return s.HaloBytes + s.MigrationBytes }
 // mailbox before it runs. Same-rank halo delivery bypasses the
 // transport entirely, so every Send is an inter-rank transfer and counts
 // toward Stats.
+//
+// Payload lifetime: a halo's Data is a buffer the sending chare keeps
+// for each (face, parity) for the whole run, so Send passes it by
+// reference and a Transport may too, as LocalTransport does. The payload
+// sent after the sender's step t feeds the receiver's step t+1, and the
+// receiver's drain applies it before that step finishes. The sender next
+// writes the buffer at the end of its step t+2, which depends on the
+// receiver's step t+1, so Data stays valid until the message has been
+// received and applied. A Transport that keeps a message past its Recv
+// must copy Data in Send.
 type Transport interface {
 	Send(m Msg)
 	// Recv returns the oldest queued message for rank; ok is false when
