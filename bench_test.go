@@ -296,37 +296,6 @@ func BenchmarkKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkScheduler compares the dependency-driven executor against the
-// static spin-flag schedule (the paper's literal synchronization) on the
-// same nuCORALS tiling: the difference is pure scheduler overhead.
-func BenchmarkScheduler(b *testing.B) {
-	for _, static := range []bool{false, true} {
-		name := "condvar"
-		if static {
-			name = "spin-flags"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := NewSolver(Config{
-				Dims: []int{66, 66, 66}, Timesteps: 10, Scheme: NuCORALS,
-				Workers: 2, StaticSchedule: static,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var updates int64
-			for i := 0; i < b.N; i++ {
-				out, err := s.Execute(nil, RunSpec{Timesteps: 10})
-				if err != nil {
-					b.Fatal(err)
-				}
-				updates += out.Report.Updates
-			}
-			b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e9, "Gupdates/s")
-		})
-	}
-}
-
 // BenchmarkEngine3D measures the full execute path on the 3D 7-point
 // workload — plan-cache hit, engine dispatch, and the unrolled kernel —
 // with allocations reported; TestCachedPlanRunAllocs pins the same path's

@@ -189,7 +189,6 @@ func TestDistributedValidation(t *testing.T) {
 		func() Config { c := base; c.Ranks = -1; return c }(),
 		func() Config { c := base; c.Ranks = 2; c.ChareFactor = -3; return c }(),
 		func() Config { c := base; c.Ranks = 2; c.Periodic = true; c.Scheme = Naive; return c }(),
-		func() Config { c := base; c.Ranks = 2; c.StaticSchedule = true; return c }(),
 	}
 	for i, cfg := range bad {
 		if _, err := NewSolver(cfg); err == nil {

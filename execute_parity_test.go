@@ -42,16 +42,6 @@ func TestLegacyVariantsMatchExecute(t *testing.T) {
 	t.Run("Run", func(t *testing.T) { checkRunMatchesExecute(t, parityConfig()) })
 }
 
-// TestLegacyVariantsMatchExecuteStatic repeats the check under the static
-// executor with two workers: owner-assigned tiles make the per-worker
-// split deterministic there too.
-func TestLegacyVariantsMatchExecuteStatic(t *testing.T) {
-	cfg := parityConfig()
-	cfg.Workers = 2
-	cfg.StaticSchedule = true
-	checkRunMatchesExecute(t, cfg)
-}
-
 // checkRunMatchesExecute runs Run and Execute(nil, RunSpec{Timesteps:
 // cfg.Timesteps}) on twin solvers and requires bit-identical grid states
 // and the same deterministic report fields (Seconds is wall clock).

@@ -635,8 +635,7 @@ func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
 			})
 		}
 		rt.tr.Send(Msg{
-			Kind: HaloMsg, From: r, To: dest,
-			Chare: f.nb, Step: t,
+			To: dest, Chare: f.nb, Step: t,
 			Dim: f.dim, Side: -f.side, Data: data,
 			SentAt: sentAt,
 		})
@@ -660,9 +659,6 @@ func (rt *Runtime) drain(r int, sh *workerShard) {
 		m, ok := rt.tr.Recv(r)
 		if !ok {
 			return
-		}
-		if m.Kind != HaloMsg {
-			continue
 		}
 		c := rt.chares[m.Chare]
 		c.faces[faceSlot(m.Dim, m.Side)].unpack(c.g.Buf(m.Step), m.Data)

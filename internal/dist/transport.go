@@ -7,21 +7,13 @@ import (
 	"nustencil/internal/histo"
 )
 
-// MsgKind discriminates transport messages.
-type MsgKind uint8
-
-const (
-	// HaloMsg carries one face's ghost-zone values for one timestep.
-	HaloMsg MsgKind = iota
-)
-
-// Msg is one transport message. Halo payloads are packed row-major over
-// the face slab (the receiver unpacks with the same traversal, so the
-// wire format is deterministic).
+// Msg is one transport message: one face's ghost-zone values for one
+// timestep. Halo payloads are packed row-major over the face slab (the
+// receiver unpacks with the same traversal, so the wire format is
+// deterministic).
 type Msg struct {
-	Kind MsgKind
-	// From and To are rank indices.
-	From, To int
+	// To is the destination rank index.
+	To int
 	// Chare is the destination chare.
 	Chare int
 	// Step is the timestep whose reads this halo feeds: the payload was

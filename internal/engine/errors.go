@@ -7,7 +7,7 @@ import (
 	"nustencil/internal/spacetime"
 )
 
-// PanicError is returned by Run and RunStatic when a worker's Exec — the
+// PanicError is returned by Run when a worker's Exec — the
 // user kernel, a source or coefficient closure, anything reached from the
 // tile body — panics. The panic is recovered at the worker top, the
 // remaining workers are cancelled, and the process stays alive; the error

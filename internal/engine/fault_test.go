@@ -13,25 +13,16 @@ import (
 	"nustencil/internal/spacetime"
 )
 
-// Fault-injection harness: every test drives both executors through the
-// same serial chain of trivial tiles with an Exec wrapper that panics,
-// blocks, or delays at a chosen tile, and asserts the engine's failure
-// semantics — typed panic errors, prompt cancellation, and no leaked
-// goroutines.
-
-var executors = []struct {
-	name string
-	run  func([]*spacetime.Tile, engine.Config) (*engine.Stats, error)
-}{
-	{"dynamic", engine.Run},
-	{"static", engine.RunStatic},
-}
+// Fault-injection harness: every test drives Run through a serial chain of
+// trivial tiles with an Exec wrapper that panics, blocks, or delays at a
+// chosen tile, and asserts the engine's failure semantics — typed panic
+// errors, prompt cancellation, and no leaked goroutines. The subtests are
+// named "dynamic", the scheduler's name, so recorded test IDs stay valid.
 
 // chainTiles builds n trivial single-cell tiles forming a strict serial
 // chain (tile i depends on tile i-1, injected via Config.Deps), owners
 // round-robin over workers. The serial chain makes execution order — and
-// therefore cancellation promptness — deterministic, and its emission
-// order is dependency-consistent so the static executor accepts it.
+// therefore cancellation promptness — deterministic.
 func chainTiles(n, workers int) ([]*spacetime.Tile, [][]int) {
 	interior := grid.NewBox([]int{0}, []int{n})
 	tiles := make([]*spacetime.Tile, n)
@@ -111,44 +102,42 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 // worker, leave the process alive with no stray goroutines, and leave the
 // engine reusable for a subsequent clean run.
 func TestFaultPanicIsolated(t *testing.T) {
-	for _, ex := range executors {
-		t.Run(ex.name, func(t *testing.T) {
-			base := goroutineBaseline()
-			const n, workers, bad = 64, 4, 17
-			tiles, deps := chainTiles(n, workers)
-			var executed atomic.Int64
-			count := func(int, *spacetime.Tile) int64 { executed.Add(1); return 1 }
-			_, err := ex.run(tiles, engine.Config{
-				Workers: workers,
-				Deps:    deps,
-				Exec:    faultAt{tile: bad, panicV: "kernel exploded"}.wrap(count),
-			})
-			var pe *engine.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("err = %v (%T), want *engine.PanicError", err, err)
-			}
-			if pe.Tile != bad {
-				t.Errorf("PanicError.Tile = %d, want %d", pe.Tile, bad)
-			}
-			if pe.Worker < 0 || pe.Worker >= workers {
-				t.Errorf("PanicError.Worker = %d out of range", pe.Worker)
-			}
-			if pe.Value != "kernel exploded" || len(pe.Stack) == 0 {
-				t.Errorf("PanicError carries value %v, %d stack bytes", pe.Value, len(pe.Stack))
-			}
-			if got := executed.Load(); got != bad {
-				t.Errorf("executed %d tiles before the panic, want exactly %d (serial chain)", got, bad)
-			}
-			assertNoGoroutineLeak(t, base)
-
-			// The process is alive and the executor still works.
-			tiles2, deps2 := chainTiles(n, workers)
-			stats, err := ex.run(tiles2, engine.Config{Workers: workers, Deps: deps2, Exec: count})
-			if err != nil || stats.TotalUpdates != n {
-				t.Fatalf("clean run after panic: %v, updates %v", err, stats)
-			}
+	t.Run("dynamic", func(t *testing.T) {
+		base := goroutineBaseline()
+		const n, workers, bad = 64, 4, 17
+		tiles, deps := chainTiles(n, workers)
+		var executed atomic.Int64
+		count := func(int, *spacetime.Tile) int64 { executed.Add(1); return 1 }
+		_, err := engine.Run(tiles, engine.Config{
+			Workers: workers,
+			Deps:    deps,
+			Exec:    faultAt{tile: bad, panicV: "kernel exploded"}.wrap(count),
 		})
-	}
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v (%T), want *engine.PanicError", err, err)
+		}
+		if pe.Tile != bad {
+			t.Errorf("PanicError.Tile = %d, want %d", pe.Tile, bad)
+		}
+		if pe.Worker < 0 || pe.Worker >= workers {
+			t.Errorf("PanicError.Worker = %d out of range", pe.Worker)
+		}
+		if pe.Value != "kernel exploded" || len(pe.Stack) == 0 {
+			t.Errorf("PanicError carries value %v, %d stack bytes", pe.Value, len(pe.Stack))
+		}
+		if got := executed.Load(); got != bad {
+			t.Errorf("executed %d tiles before the panic, want exactly %d (serial chain)", got, bad)
+		}
+		assertNoGoroutineLeak(t, base)
+
+		// The process is alive and the engine still works.
+		tiles2, deps2 := chainTiles(n, workers)
+		stats, err := engine.Run(tiles2, engine.Config{Workers: workers, Deps: deps2, Exec: count})
+		if err != nil || stats.TotalUpdates != n {
+			t.Fatalf("clean run after panic: %v, updates %v", err, stats)
+		}
+	})
 }
 
 // A cancelled context must stop a 1000-tile run long before it finishes:
@@ -156,93 +145,87 @@ func TestFaultPanicIsolated(t *testing.T) {
 // ~10ms, and the run must return context.Canceled within a small bounded
 // delay having executed only a fraction of the tiles.
 func TestFaultCancellationPrompt(t *testing.T) {
-	for _, ex := range executors {
-		t.Run(ex.name, func(t *testing.T) {
-			base := goroutineBaseline()
-			const n, workers = 1000, 4
-			tiles, deps := chainTiles(n, workers)
-			var executed atomic.Int64
-			slow := func(int, *spacetime.Tile) int64 {
-				executed.Add(1)
-				time.Sleep(2 * time.Millisecond)
-				return 1
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
-			start := time.Now()
-			_, err := ex.run(tiles, engine.Config{
-				Workers: workers,
-				Deps:    deps,
-				Ctx:     ctx,
-				Exec:    slow,
-			})
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if elapsed > time.Second {
-				t.Errorf("run returned after %v, cancellation was not prompt (full run takes >= 2s)", elapsed)
-			}
-			if got := executed.Load(); got >= n/2 {
-				t.Errorf("executed %d of %d tiles after an early cancel", got, n)
-			}
-			assertNoGoroutineLeak(t, base)
+	t.Run("dynamic", func(t *testing.T) {
+		base := goroutineBaseline()
+		const n, workers = 1000, 4
+		tiles, deps := chainTiles(n, workers)
+		var executed atomic.Int64
+		slow := func(int, *spacetime.Tile) int64 {
+			executed.Add(1)
+			time.Sleep(2 * time.Millisecond)
+			return 1
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+		}()
+		start := time.Now()
+		_, err := engine.Run(tiles, engine.Config{
+			Workers: workers,
+			Deps:    deps,
+			Ctx:     ctx,
+			Exec:    slow,
 		})
-	}
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("run returned after %v, cancellation was not prompt (full run takes >= 2s)", elapsed)
+		}
+		if got := executed.Load(); got >= n/2 {
+			t.Errorf("executed %d of %d tiles after an early cancel", got, n)
+		}
+		assertNoGoroutineLeak(t, base)
+	})
 }
 
 // An already-expired context must refuse the run before executing anything.
 func TestFaultPreCancelled(t *testing.T) {
-	for _, ex := range executors {
-		t.Run(ex.name, func(t *testing.T) {
-			tiles, deps := chainTiles(16, 2)
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			var executed atomic.Int64
-			_, err := ex.run(tiles, engine.Config{
-				Workers: 2,
-				Deps:    deps,
-				Ctx:     ctx,
-				Exec:    func(int, *spacetime.Tile) int64 { executed.Add(1); return 1 },
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if executed.Load() != 0 {
-				t.Errorf("pre-cancelled run executed %d tiles", executed.Load())
-			}
+	t.Run("dynamic", func(t *testing.T) {
+		tiles, deps := chainTiles(16, 2)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var executed atomic.Int64
+		_, err := engine.Run(tiles, engine.Config{
+			Workers: 2,
+			Deps:    deps,
+			Ctx:     ctx,
+			Exec:    func(int, *spacetime.Tile) int64 { executed.Add(1); return 1 },
 		})
-	}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if executed.Load() != 0 {
+			t.Errorf("pre-cancelled run executed %d tiles", executed.Load())
+		}
+	})
 }
 
 // A context deadline bounds the run's wall clock.
 func TestFaultDeadline(t *testing.T) {
-	for _, ex := range executors {
-		t.Run(ex.name, func(t *testing.T) {
-			tiles, deps := chainTiles(500, 3)
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			_, err := ex.run(tiles, engine.Config{
-				Workers: 3,
-				Deps:    deps,
-				Ctx:     ctx,
-				Exec: func(int, *spacetime.Tile) int64 {
-					time.Sleep(2 * time.Millisecond)
-					return 1
-				},
-			})
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if elapsed := time.Since(start); elapsed > time.Second {
-				t.Errorf("deadline honored only after %v", elapsed)
-			}
+	t.Run("dynamic", func(t *testing.T) {
+		tiles, deps := chainTiles(500, 3)
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := engine.Run(tiles, engine.Config{
+			Workers: 3,
+			Deps:    deps,
+			Ctx:     ctx,
+			Exec: func(int, *spacetime.Tile) int64 {
+				time.Sleep(2 * time.Millisecond)
+				return 1
+			},
 		})
-	}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("deadline honored only after %v", elapsed)
+		}
+	})
 }
 
 // Parked workers must wake on cancellation: every tile is owned by worker
@@ -290,25 +273,22 @@ func TestFaultCancelWakesParkedWorkers(t *testing.T) {
 	assertNoGoroutineLeak(t, base)
 }
 
-// A panic inside Exec while peer workers are parked (dynamic) or
-// spin-waiting on flags (static) must not strand them: the chain gives
-// every other worker a dependency on the panicking tile.
+// A panic inside Exec while peer workers are parked must not strand them:
+// the chain gives every other worker a dependency on the panicking tile.
 func TestFaultPanicReleasesWaiters(t *testing.T) {
-	for _, ex := range executors {
-		t.Run(ex.name, func(t *testing.T) {
-			base := goroutineBaseline()
-			tiles, deps := chainTiles(64, 8)
-			_, err := ex.run(tiles, engine.Config{
-				Workers: 8,
-				Deps:    deps,
-				Exec: faultAt{tile: 0, panicV: errors.New("first tile dies")}.wrap(
-					func(int, *spacetime.Tile) int64 { return 1 }),
-			})
-			var pe *engine.PanicError
-			if !errors.As(err, &pe) || pe.Tile != 0 {
-				t.Fatalf("err = %v, want *engine.PanicError at tile 0", err)
-			}
-			assertNoGoroutineLeak(t, base)
+	t.Run("dynamic", func(t *testing.T) {
+		base := goroutineBaseline()
+		tiles, deps := chainTiles(64, 8)
+		_, err := engine.Run(tiles, engine.Config{
+			Workers: 8,
+			Deps:    deps,
+			Exec: faultAt{tile: 0, panicV: errors.New("first tile dies")}.wrap(
+				func(int, *spacetime.Tile) int64 { return 1 }),
 		})
-	}
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) || pe.Tile != 0 {
+			t.Fatalf("err = %v, want *engine.PanicError at tile 0", err)
+		}
+		assertNoGoroutineLeak(t, base)
+	})
 }

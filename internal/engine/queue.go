@@ -103,9 +103,9 @@ func (q *readyQueue) depth() int {
 // queue q holds tiles flat[off[q]:off[q+1]], where queue w < workers is
 // worker w's owned tiles (tile i belongs to worker tiles[i].Owner %
 // workers) and queue workers is the ownerless tiles any worker may take.
-// off must have length workers+2 and flat length len(tiles). When pos is
-// non-nil, pos[i] receives tile i's position within its queue's list. A
-// counting pass sizes every list, so nothing is appended.
+// off must have length workers+2, flat and pos length len(tiles); pos[i]
+// receives tile i's position within its queue's list. A counting pass
+// sizes every list, so nothing is appended.
 func queueLists(tiles []*spacetime.Tile, workers int, off []int, flat, pos []int32) {
 	for q := range off {
 		off[q] = 0
@@ -126,11 +126,9 @@ func queueLists(tiles []*spacetime.Tile, workers int, off []int, flat, pos []int
 	}
 	copy(off[1:], off[:len(off)-1])
 	off[0] = 0
-	if pos != nil {
-		for q := 0; q+1 < len(off); q++ {
-			for p, i := range flat[off[q]:off[q+1]] {
-				pos[i] = int32(p)
-			}
+	for q := 0; q+1 < len(off); q++ {
+		for p, i := range flat[off[q]:off[q+1]] {
+			pos[i] = int32(p)
 		}
 	}
 }

@@ -34,12 +34,11 @@ type Config struct {
 	Wrap []int
 	// Deps, when non-nil, is the precomputed dependency graph for the tiles
 	// (as returned by BuildDeps after spacetime.AssignIDs): Deps[i] lists the
-	// tile indices tile i flow-depends on. It must have passed CheckDeps, and
-	// CheckStatic for RunStatic: the executors trust it and do not look for
-	// cycles while running. Callers that execute the same tiling repeatedly
-	// derive and check it once and skip the per-Run derivation; when nil,
-	// Run and RunStatic derive it from Order and Wrap and check it
-	// themselves.
+	// tile indices tile i flow-depends on. It must have passed CheckDeps:
+	// Run trusts it and does not look for cycles while running. Callers
+	// that execute the same tiling repeatedly derive and check it once and
+	// skip the per-Run derivation; when nil, Run derives it from Order and
+	// Wrap and checks it itself.
 	Deps [][]int
 	// Pin locks each worker goroutine to an OS thread and best-effort pins
 	// it to CPU w (Linux). Purely an optimization for real runs.
@@ -100,8 +99,7 @@ type Stats struct {
 	// BusyPerWorker is the time each worker spent executing tiles
 	// (excluding waits), for load-imbalance analysis.
 	BusyPerWorker []time.Duration
-	// Sched carries per-worker scheduler counters for dependency-driven
-	// runs; nil from RunStatic, which has no queues or parkers.
+	// Sched carries per-worker scheduler counters.
 	Sched        []SchedCounters
 	TotalUpdates int64
 }
@@ -147,6 +145,7 @@ func newStats(cfg Config) (*Stats, error) {
 		UpdatesPerWorker: make([]int64, cfg.Workers),
 		TilesPerWorker:   make([]int64, cfg.Workers),
 		BusyPerWorker:    make([]time.Duration, cfg.Workers),
+		Sched:            make([]SchedCounters, cfg.Workers),
 	}, nil
 }
 
@@ -214,8 +213,8 @@ func (st *runState) fail(to int32) bool {
 // Tiles with Owner >= 0 run only on worker Owner % Workers (data-to-core
 // affinity); tiles with Owner < 0 go to a shared queue any worker may drain
 // (the NUMA-ignorant case). Each worker runs its lowest-ID ready tile
-// first, so ready tiles run in the tiler's emission order — the order
-// RunStatic walks — rather than the order they happened to become ready.
+// first, so ready tiles run in the tiler's emission order rather than the
+// order they happened to become ready.
 // When cfg.Deps is nil, Run derives the dependencies and returns ErrCycle,
 // before executing anything, if they are cyclic; a caller-supplied
 // cfg.Deps must already have passed CheckDeps. Run returns cfg.Ctx.Err()
@@ -227,7 +226,6 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats.Sched = make([]SchedCounters, cfg.Workers)
 	if len(tiles) == 0 {
 		return stats, nil
 	}
@@ -265,11 +263,8 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 		}
 	}
 
-	stopWatch := watchCtx(cfg.Ctx, &st.status, st.parkers)
-
-	stopSampler := startSampler(cfg, func() Sample {
-		return Sample{Ready: st.readyDepth(), Idle: int(st.idle.Load())}
-	})
+	stopWatch := st.watchCtx(cfg.Ctx)
+	stopSampler := st.startSampler(cfg)
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -294,11 +289,11 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 
 // watchCtx translates ctx cancellation into the run's status word: it
 // moves status from runActive to runCancelled and, on winning, unparks
-// parkers so parked workers wake to observe it (spinning workers poll the
-// word). The returned stop tears the watcher down and joins it, so a
-// broadcast in flight never touches pooled parkers after the run returns.
-// A nil or never-done ctx starts no goroutine.
-func watchCtx(ctx context.Context, status *atomic.Int32, parkers []xsync.Parker) (stop func()) {
+// every worker so parked workers wake to observe it. The returned stop
+// tears the watcher down and joins it, so a broadcast in flight never
+// touches pooled parkers after the run returns. A nil or never-done ctx
+// starts no goroutine.
+func (st *runState) watchCtx(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
@@ -307,11 +302,7 @@ func watchCtx(ctx context.Context, status *atomic.Int32, parkers []xsync.Parker)
 		defer close(exited)
 		select {
 		case <-done:
-			if status.CompareAndSwap(runActive, runCancelled) {
-				for w := range parkers {
-					parkers[w].Unpark()
-				}
-			}
+			st.fail(runCancelled)
 		case <-stopCh:
 		}
 	}()

@@ -4,27 +4,24 @@ import "time"
 
 // Sample is one periodic scheduler observation, delivered to
 // Config.OnSample by the sampler goroutine Config.SampleEvery enables.
-// Every field is read from atomics the executors maintain next to their own
-// bookkeeping (ready bitmaps, idle and waiting worker counts), so sampling
-// adds no code to the per-tile hot path.
+// Every field is read from atomics the scheduler maintains next to its own
+// bookkeeping (ready bitmaps, the idle worker count), so sampling adds no
+// code to the per-tile hot path.
 type Sample struct {
 	// Elapsed is the time since the run's workers started.
 	Elapsed time.Duration
 	// Ready is the number of ready tiles enqueued but not yet claimed by
-	// any worker. Under RunStatic, which has no ready queues, it counts the
-	// not-yet-executed tiles of the static schedule instead.
+	// any worker.
 	Ready int
-	// Idle is the number of workers currently out of work: parked (Run) or
-	// spin-waiting on a completion flag (RunStatic).
+	// Idle is the number of workers currently parked for want of work.
 	Idle int
 }
 
 // startSampler starts the sampler goroutine when cfg enables sampling and
 // returns a stop function that must be called before the run returns; the
-// last OnSample call happens-before stop returns. snap reads the
-// scheduler's atomics into a Sample (Elapsed is filled in here). When
-// sampling is off the returned stop is a no-op and no goroutine starts.
-func startSampler(cfg Config, snap func() Sample) (stop func()) {
+// last OnSample call happens-before stop returns. When sampling is off the
+// returned stop is a no-op and no goroutine starts.
+func (st *runState) startSampler(cfg Config) (stop func()) {
 	if cfg.SampleEvery <= 0 || cfg.OnSample == nil {
 		return func() {}
 	}
@@ -40,9 +37,11 @@ func startSampler(cfg Config, snap func() Sample) (stop func()) {
 			case <-stopCh:
 				return
 			case <-tick.C:
-				s := snap()
-				s.Elapsed = time.Since(start)
-				cfg.OnSample(s)
+				cfg.OnSample(Sample{
+					Elapsed: time.Since(start),
+					Ready:   st.readyDepth(),
+					Idle:    int(st.idle.Load()),
+				})
 			}
 		}
 	}()

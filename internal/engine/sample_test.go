@@ -9,52 +9,46 @@ import (
 	"nustencil/internal/spacetime"
 )
 
-// Both executors deliver periodic scheduler samples with sane fields, and
-// the last delivery happens before the run returns.
+// Run delivers periodic scheduler samples with sane fields, and the last
+// delivery happens before the run returns.
 func TestSamplerDeliversDuringRun(t *testing.T) {
 	interior := grid.NewBox([]int{0}, []int{40})
-	for _, static := range []bool{false, true} {
-		tiles := sliceTiling(interior, 6, []int{10, 20, 30}, []int{0, 1, 2, 3})
-		var samples []Sample
-		cfg := Config{
-			Workers:     4,
-			Order:       1,
-			SampleEvery: 50 * time.Microsecond,
-			OnSample:    func(s Sample) { samples = append(samples, s) },
-			Exec: func(w int, tile *spacetime.Tile) int64 {
-				time.Sleep(200 * time.Microsecond)
-				return 1
-			},
+	tiles := sliceTiling(interior, 6, []int{10, 20, 30}, []int{0, 1, 2, 3})
+	var samples []Sample
+	cfg := Config{
+		Workers:     4,
+		Order:       1,
+		SampleEvery: 50 * time.Microsecond,
+		OnSample:    func(s Sample) { samples = append(samples, s) },
+		Exec: func(w int, tile *spacetime.Tile) int64 {
+			time.Sleep(200 * time.Microsecond)
+			return 1
+		},
+	}
+	if _, err := Run(tiles, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) == 0 {
+		t.Fatal("no samples delivered")
+	}
+	// The happens-before contract makes the unsynchronized append above
+	// legal; the count must be stable once the run has returned.
+	n := len(samples)
+	time.Sleep(2 * time.Millisecond)
+	if len(samples) != n {
+		t.Error("samples delivered after the run returned")
+	}
+	var prev time.Duration
+	for i, s := range samples {
+		if s.Elapsed < prev {
+			t.Errorf("sample %d elapsed %v < previous %v", i, s.Elapsed, prev)
 		}
-		run := Run
-		if static {
-			run = RunStatic
+		prev = s.Elapsed
+		if s.Ready < 0 || s.Ready > len(tiles) {
+			t.Errorf("sample %d ready %d out of [0,%d]", i, s.Ready, len(tiles))
 		}
-		if _, err := run(tiles, cfg); err != nil {
-			t.Fatalf("static=%v: %v", static, err)
-		}
-		if len(samples) == 0 {
-			t.Fatalf("static=%v: no samples delivered", static)
-		}
-		// The happens-before contract makes the unsynchronized append above
-		// legal; the count must be stable once the run has returned.
-		n := len(samples)
-		time.Sleep(2 * time.Millisecond)
-		if len(samples) != n {
-			t.Errorf("static=%v: samples delivered after the run returned", static)
-		}
-		var prev time.Duration
-		for i, s := range samples {
-			if s.Elapsed < prev {
-				t.Errorf("static=%v: sample %d elapsed %v < previous %v", static, i, s.Elapsed, prev)
-			}
-			prev = s.Elapsed
-			if s.Ready < 0 || s.Ready > len(tiles) {
-				t.Errorf("static=%v: sample %d ready %d out of [0,%d]", static, i, s.Ready, len(tiles))
-			}
-			if s.Idle < 0 || s.Idle > cfg.Workers {
-				t.Errorf("static=%v: sample %d idle %d out of [0,%d]", static, i, s.Idle, cfg.Workers)
-			}
+		if s.Idle < 0 || s.Idle > cfg.Workers {
+			t.Errorf("sample %d idle %d out of [0,%d]", i, s.Idle, cfg.Workers)
 		}
 	}
 }

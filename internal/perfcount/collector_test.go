@@ -123,9 +123,9 @@ func TestCollectorUntouchedPages(t *testing.T) {
 	}
 }
 
-// runInstrumented drives one executor over a real tiling with the
-// collector folded into Exec, the way the solver wires it.
-func runInstrumented(t *testing.T, run func([]*spacetime.Tile, engine.Config) (*engine.Stats, error)) (*Collector, []*spacetime.Tile) {
+// runInstrumented runs the engine over a real tiling with the collector
+// folded into Exec, the way the solver wires it.
+func runInstrumented(t *testing.T) (*Collector, []*spacetime.Tile) {
 	t.Helper()
 	g := grid.NewWithPageSize([]int{80}, 8)
 	g.Touch(grid.NewBox([]int{0}, []int{40}), 0)
@@ -162,76 +162,72 @@ func runInstrumented(t *testing.T, run func([]*spacetime.Tile, engine.Config) (*
 			return u
 		},
 	}
-	if _, err := run(tiles, cfg); err != nil {
+	if _, err := engine.Run(tiles, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return col, tiles
 }
 
+// The subtest is named "dynamic", the scheduler's name, so recorded test
+// IDs stay valid.
 func TestCollectorWithEngine(t *testing.T) {
-	executors := map[string]func([]*spacetime.Tile, engine.Config) (*engine.Stats, error){
-		"dynamic": engine.Run,
-		"static":  engine.RunStatic,
-	}
-	for name, run := range executors {
-		t.Run(name, func(t *testing.T) {
-			col, tiles := runInstrumented(t, run)
-			out := col.Counters()
+	t.Run("dynamic", func(t *testing.T) {
+		col, tiles := runInstrumented(t)
+		out := col.Counters()
 
-			var updates int64
-			for _, tile := range tiles {
-				updates += tile.Updates()
-			}
-			if out.Updates != updates {
-				t.Errorf("updates = %d, want %d", out.Updates, updates)
-			}
-			if got := out.Tiles(); got != int64(len(tiles)) {
-				t.Errorf("tiles = %d, want %d", got, len(tiles))
-			}
-			if h := out.Latency(); h.N != int64(len(tiles)) {
-				t.Errorf("latency N = %d, want %d", h.N, len(tiles))
-			}
+		var updates int64
+		for _, tile := range tiles {
+			updates += tile.Updates()
+		}
+		if out.Updates != updates {
+			t.Errorf("updates = %d, want %d", out.Updates, updates)
+		}
+		if got := out.Tiles(); got != int64(len(tiles)) {
+			t.Errorf("tiles = %d, want %d", got, len(tiles))
+		}
+		if h := out.Latency(); h.N != int64(len(tiles)) {
+			t.Errorf("latency N = %d, want %d", h.N, len(tiles))
+		}
 
-			// Conservation against the pricing: total main bytes equal
-			// updates × rate, and both per-node views agree, regardless of
-			// which worker ran which tile.
-			want := float64(updates) * 3.5
-			slack := float64(out.Workers * out.Nodes) // one rounding per shard counter
-			if got := float64(out.MainBytes()); math.Abs(got-want) > slack {
-				t.Errorf("controller sum = %.0f, want %.0f ± %.0f", got, want, slack)
-			}
-			if got := float64(out.LocalBytes() + out.RemoteBytes()); math.Abs(got-want) > slack {
-				t.Errorf("local+remote = %.0f, want %.0f ± %.0f", got, want, slack)
-			}
-			wantLLC := float64(updates) * 10.25
-			if got := float64(out.LLCBytes()); math.Abs(got-wantLLC) > slack {
-				t.Errorf("llc = %.0f, want %.0f ± %.0f", got, wantLLC, slack)
-			}
-			if got := out.Flops(); got != updates*5 {
-				t.Errorf("flops = %d, want %d", got, updates*5)
-			}
+		// Conservation against the pricing: total main bytes equal
+		// updates × rate, and both per-node views agree, regardless of
+		// which worker ran which tile.
+		want := float64(updates) * 3.5
+		slack := float64(out.Workers * out.Nodes) // one rounding per shard counter
+		if got := float64(out.MainBytes()); math.Abs(got-want) > slack {
+			t.Errorf("controller sum = %.0f, want %.0f ± %.0f", got, want, slack)
+		}
+		if got := float64(out.LocalBytes() + out.RemoteBytes()); math.Abs(got-want) > slack {
+			t.Errorf("local+remote = %.0f, want %.0f ± %.0f", got, want, slack)
+		}
+		wantLLC := float64(updates) * 10.25
+		if got := float64(out.LLCBytes()); math.Abs(got-wantLLC) > slack {
+			t.Errorf("llc = %.0f, want %.0f ± %.0f", got, wantLLC, slack)
+		}
+		if got := out.Flops(); got != updates*5 {
+			t.Errorf("flops = %d, want %d", got, updates*5)
+		}
 
-			// Ownership is split half and half, so controllers split near
-			// evenly (the interior trims one page-straddling cell per edge).
-			n0 := float64(out.PerNode[0].ControllerBytes)
-			n1 := float64(out.PerNode[1].ControllerBytes)
-			if math.Abs(n0-n1) > 0.1*want {
-				t.Errorf("controller split %0.f/%0.f too uneven for a half/half grid", n0, n1)
-			}
+		// Ownership is split half and half, so controllers split near
+		// evenly (the interior trims one page-straddling cell per edge).
+		n0 := float64(out.PerNode[0].ControllerBytes)
+		n1 := float64(out.PerNode[1].ControllerBytes)
+		if math.Abs(n0-n1) > 0.1*want {
+			t.Errorf("controller split %0.f/%0.f too uneven for a half/half grid", n0, n1)
+		}
 
-			if len(out.Samples) == 0 {
-				t.Errorf("no scheduler samples recorded")
+		if len(out.Samples) == 0 {
+			t.Errorf("no scheduler samples recorded")
+		}
+		for _, s := range out.Samples {
+			if s.ReadyTiles < 0 || s.ReadyTiles > len(tiles) {
+				t.Errorf("sample ready = %d out of range", s.ReadyTiles)
 			}
-			for _, s := range out.Samples {
-				if s.ReadyTiles < 0 || s.ReadyTiles > len(tiles) {
-					t.Errorf("sample ready = %d out of range", s.ReadyTiles)
-				}
-				if s.IdleWorkers < 0 || s.IdleWorkers > out.Workers {
-					t.Errorf("sample idle = %d out of range", s.IdleWorkers)
-				}
+			if s.IdleWorkers < 0 || s.IdleWorkers > out.Workers {
+				t.Errorf("sample idle = %d out of range", s.IdleWorkers)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestNewCollectorValidates(t *testing.T) {

@@ -71,10 +71,9 @@ type WorkerCounters struct {
 // Sample is one periodic scheduler observation.
 type Sample struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// ReadyTiles counts tiles enqueued ready but claimed by no worker
-	// (under the static executor: tiles not yet executed).
+	// ReadyTiles counts tiles enqueued ready but claimed by no worker.
 	ReadyTiles int `json:"ready_tiles"`
-	// IdleWorkers counts workers out of work (parked or spin-waiting).
+	// IdleWorkers counts workers parked for want of work.
 	IdleWorkers int `json:"idle_workers"`
 }
 

@@ -263,8 +263,9 @@ func min(a, b int) int {
 //
 // Tiles are emitted level by level: segment, then chunk, then slab. A
 // tile reads only tiles of lower or equal (segment, chunk, slab), so the
-// emission order is topological, and every worker's tiles in emission
-// order form a valid static schedule.
+// emission order is topological. engine.Run hands each worker its ready
+// tiles in emission order, so a worker runs its chunks in the order its
+// right-hand neighbour needs them.
 func BuildSlabTiles(p *tiling.Problem, nTiles int, owners []int, seg int, halveWavefrontDim bool) []*spacetime.Tile {
 	interior := p.Interior()
 	nd := interior.NumDims()

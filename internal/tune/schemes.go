@@ -3,18 +3,8 @@ package tune
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"nustencil/internal/affinity"
-	"nustencil/internal/engine"
-	"nustencil/internal/grid"
-	"nustencil/internal/spacetime"
-	"nustencil/internal/stencil"
-	"nustencil/internal/tiling"
-	"nustencil/internal/tiling/cats"
-	"nustencil/internal/tiling/diamond"
-	"nustencil/internal/tiling/nucats"
-	"nustencil/internal/tiling/nucorals"
+	"nustencil"
 )
 
 // Workload describes the problem the tuner measures against.
@@ -23,57 +13,6 @@ type Workload struct {
 	Timesteps int
 	Workers   int
 	LLCBytes  int64
-}
-
-func (w Workload) problem() *tiling.Problem {
-	llc := w.LLCBytes
-	if llc <= 0 {
-		llc = 1 << 20
-	}
-	g := grid.New(w.Dims)
-	g.FillFunc(func(pt []int) float64 { return float64(pt[0]&7) * 0.25 })
-	return &tiling.Problem{
-		Grid:              g,
-		Stencil:           stencil.NewStar(len(w.Dims), 1),
-		Timesteps:         w.Timesteps,
-		Workers:           w.Workers,
-		Topo:              affinity.Fixed{Cores: w.Workers, Nodes: 1},
-		LLCBytesPerWorker: llc,
-	}
-}
-
-// measureScheme executes one tiling for real and returns Gupdates/s. The
-// context bounds the execution: an expired candidate budget cancels the
-// engine run mid-tiling.
-func measureScheme(ctx context.Context, w Workload, sch tiling.Scheme) (float64, error) {
-	p := w.problem()
-	sch.Distribute(p)
-	tiles, err := sch.Tiles(p)
-	if err != nil {
-		return 0, err
-	}
-	op := stencil.NewOp(p.Stencil, p.Grid)
-	start := time.Now()
-	stats, err := engine.Run(tiles, engine.Config{
-		Workers: p.Workers,
-		Order:   1,
-		Ctx:     ctx,
-		Exec: func(wk int, tile *spacetime.Tile) int64 {
-			var n int64
-			for ts := tile.T0; ts < tile.T1(); ts++ {
-				n += op.ApplyBox(tile.At(ts), ts)
-			}
-			return n
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0, fmt.Errorf("tune: degenerate timing")
-	}
-	return float64(stats.TotalUpdates) / sec / 1e9, nil
 }
 
 // SpaceFor returns the search space for a scheme name, sized to the
@@ -119,39 +58,48 @@ func SpaceFor(scheme string, w Workload) (Space, error) {
 	}
 }
 
-// MeasureFor returns the measurement function for a scheme name.
+// MeasureFor returns the measurement for a scheme name: each candidate
+// executes for real through the public solver (Config.SchemeParams
+// carries the setting), and its rate is the report's Gupdates/s.
 func MeasureFor(scheme string, w Workload) (Measure, error) {
-	switch scheme {
-	case "nuCORALS":
-		return func(ctx context.Context, s Setting) (float64, error) {
-			return measureScheme(ctx, w, &nucorals.Scheme{Params: nucorals.Params{
-				Tau:            s["tau"],
-				BaseHeight:     s["baseHeight"],
-				BaseExtent:     s["baseExtent"],
-				BaseUnitExtent: s["baseUnit"],
-			}})
-		}, nil
-	case "nuCATS":
-		return func(ctx context.Context, s Setting) (float64, error) {
-			return measureScheme(ctx, w, &nucats.Scheme{Params: cats.Params{
-				SegmentHeight: s["segment"],
-			}})
-		}, nil
-	case "CATS":
-		return func(ctx context.Context, s Setting) (float64, error) {
-			return measureScheme(ctx, w, &cats.Scheme{Params: cats.Params{
-				SegmentHeight: s["segment"],
-				WidthOverride: s["width"],
-			}})
-		}, nil
-	case "PLuTo":
-		return func(ctx context.Context, s Setting) (float64, error) {
-			return measureScheme(ctx, w, &diamond.Scheme{Params: diamond.Params{
-				TimeBlock: s["timeBlock"],
-				Width:     s["width"],
-			}})
-		}, nil
-	default:
-		return nil, fmt.Errorf("tune: no measurement for scheme %q", scheme)
+	if _, err := SpaceFor(scheme, w); err != nil {
+		return nil, err
 	}
+	return func(ctx context.Context, s Setting) (float64, error) {
+		out, err := execute(ctx, scheme, w, s, nustencil.RunSpec{})
+		if err != nil {
+			return 0, err
+		}
+		return out.Report.Gupdates(), nil
+	}, nil
+}
+
+// execute runs one candidate setting of scheme on the workload through
+// NewSolver and Execute, so the tuner times the same plan — in-tile
+// traversal, cached dependencies, kernels — that a Config carrying the
+// tuned setting later runs, and NewSolver rejects a setting key the
+// scheme does not take. spec selects the observability; its Timesteps
+// are the workload's.
+func execute(ctx context.Context, scheme string, w Workload, s Setting, spec nustencil.RunSpec) (*nustencil.RunOutput, error) {
+	solver, err := nustencil.NewSolver(nustencil.Config{
+		Dims:              w.Dims,
+		Timesteps:         w.Timesteps,
+		Scheme:            nustencil.SchemeName(scheme),
+		Workers:           w.Workers,
+		LLCBytesPerWorker: w.LLCBytes,
+		SchemeParams:      s,
+	})
+	if err != nil {
+		return nil, err
+	}
+	solver.SetInitial(func(pt []int) float64 { return float64(pt[0]&7) * 0.25 })
+	spec.Timesteps = w.Timesteps
+	out, err := solver.Execute(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	if out.Report.Seconds <= 0 {
+		return nil, fmt.Errorf("tune: degenerate timing")
+	}
+	return out, nil
 }

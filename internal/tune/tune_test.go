@@ -152,9 +152,25 @@ func TestSchemeSpacesAndMeasurement(t *testing.T) {
 	if _, err := MeasureFor("bogus", w); err == nil {
 		t.Error("unknown scheme measure accepted")
 	}
+	// A key the scheme does not take is an error, not a silent run of the
+	// scheme's defaults.
+	measure, err := MeasureFor("nuCATS", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := measure(context.Background(), Setting{"bogus": 1}); err == nil {
+		t.Error("MeasureFor measured a setting with an unknown key")
+	}
+	counted, err := MeasureCountedFor("nuCATS", w, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := counted(context.Background(), Setting{"bogus": 1}); err == nil {
+		t.Error("MeasureCountedFor measured a setting with an unknown key")
+	}
 	// An expired candidate context must abort a real measurement instead of
 	// running it to completion.
-	measure, err := MeasureFor("nuCORALS", w)
+	measure, err = MeasureFor("nuCORALS", w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,7 @@
+// Package xsync provides the Parker wakeup primitive of the
+// dependency-driven scheduler: the engine's owner queues stand in for the
+// spin-wait sync flags of the paper's Section III-B, and a worker with no
+// ready tile parks on its Parker instead of spinning on a flag.
 package xsync
 
 import (

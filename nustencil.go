@@ -141,11 +141,6 @@ type Config struct {
 	// (the temporal blocking geometry assumes a flat space); with Periodic
 	// set and no explicit Scheme, Naive is the default.
 	Periodic bool `json:"periodic,omitempty"`
-	// StaticSchedule executes with the paper's literal synchronization
-	// structure — per-worker static tile lists and spin-wait completion
-	// flags (Section III-B) — instead of the dependency-driven scheduler.
-	// Requires a scheme whose tiles all have owners (not CORALS/Pochoir).
-	StaticSchedule bool `json:"static_schedule,omitempty"`
 	// SchemeParams overrides the selected scheme's tunable parameters by
 	// name, using the same keys as the auto-tuner's search spaces
 	// (e.g. nuCORALS: tau, baseHeight, baseExtent, baseUnit; nuCATS:
@@ -156,10 +151,10 @@ type Config struct {
 	// into many more blocks (chares) than workers, the blocks spread over
 	// Ranks in-process simulated nodes, and neighbors exchange halo slabs
 	// through a transport every timestep. Results are bit-exact with the
-	// single-process path. Incompatible with Periodic and StaticSchedule;
-	// the tiling scheme is not consulted for execution (each chare runs
-	// plain per-step sweeps) but still names the run. 0 or 1 selects the
-	// ordinary single-process path.
+	// single-process path. Incompatible with Periodic; the tiling scheme
+	// is not consulted for execution (each chare runs plain per-step
+	// sweeps) but still names the run. 0 or 1 selects the ordinary
+	// single-process path.
 	Ranks int `json:"ranks,omitempty"`
 	// ChareFactor is the overdecomposition ratio of a distributed run:
 	// the grid splits into Ranks·ChareFactor chares (default 4). More
@@ -227,9 +222,8 @@ type Report struct {
 	// dimensions). A rate compared across hosts means little unless the
 	// kernel is known.
 	Kernel string
-	// Sched carries per-worker scheduler counters for dependency-scheduled
-	// runs (parks, wakeups issued, queue pops, empty polls); nil under
-	// Config.StaticSchedule, whose executor has no queues or parkers.
+	// Sched carries per-worker scheduler counters (parks, wakeups issued,
+	// queue pops, empty polls).
 	Sched []SchedulerCounters
 }
 
@@ -279,9 +273,8 @@ type plan struct {
 // executes, so a run that stops early — a cancelled context, a panicking
 // kernel — leaves no consistent timestep to roll back to; the solver
 // instead refuses further use until Import or Load installs a known-good
-// state. An illegal tiling (engine.ErrCycle, engine.ErrStaticDeadlock) is
-// rejected when its plan is built, before any tile runs, and does not
-// poison. Test with errors.Is(err, ErrPoisoned).
+// state. An illegal tiling (engine.ErrCycle) is rejected when its plan is
+// built, before any tile runs, and does not poison. Test with errors.Is(err, ErrPoisoned).
 var ErrPoisoned = errors.New("nustencil: solver state poisoned by a failed run (restore with Import or Load)")
 
 // Solver executes iterative stencil computations on one grid.
@@ -352,13 +345,8 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.ChareFactor < 0 {
 		return nil, fmt.Errorf("nustencil: negative chare factor %d", cfg.ChareFactor)
 	}
-	if cfg.Ranks > 1 {
-		if cfg.Periodic {
-			return nil, errors.New("nustencil: distributed runs (Ranks > 1) do not support periodic boundaries")
-		}
-		if cfg.StaticSchedule {
-			return nil, errors.New("nustencil: distributed runs (Ranks > 1) do not support StaticSchedule")
-		}
+	if cfg.Ranks > 1 && cfg.Periodic {
+		return nil, errors.New("nustencil: distributed runs (Ranks > 1) do not support periodic boundaries")
 	}
 	sch, err := schemeFor(cfg.Scheme, cfg.SchemeParams)
 	if err != nil {
@@ -540,17 +528,12 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 		for _, t := range tiles {
 			trav[t.ID] = tiling.TraverseOrDefault(s.scheme, t, cfg.Order)
 		}
-		// A cycle or an inconsistent static order is a property of the
-		// plan: reject it here, once, before it is cached or any tile
-		// touches the grid, so the solver stays healthy.
+		// A cycle is a property of the plan: reject it here, once, before
+		// it is cached or any tile touches the grid, so the solver stays
+		// healthy.
 		deps := engine.BuildDeps(tiles, cfg.Order, wrap)
 		if err := engine.CheckDeps(deps); err != nil {
 			return rep, nil, nil, err
-		}
-		if cfg.StaticSchedule {
-			if err := engine.CheckStatic(tiles, deps, cfg.Workers); err != nil {
-				return rep, nil, nil, err
-			}
 		}
 		pl = &plan{tiles: tiles, deps: deps, trav: trav}
 		if s.plans == nil {
@@ -613,11 +596,7 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 		}
 	}
 	start := time.Now()
-	run := engine.Run
-	if cfg.StaticSchedule {
-		run = engine.RunStatic
-	}
-	stats, err := run(tiles, engine.Config{
+	stats, err := engine.Run(tiles, engine.Config{
 		Workers:     cfg.Workers,
 		Order:       cfg.Order,
 		Wrap:        wrap,

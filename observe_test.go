@@ -80,25 +80,6 @@ func TestRunStepsTraceExport(t *testing.T) {
 	}
 }
 
-// TestStaticScheduleNoSchedCounters pins the contract that the static
-// executor (which has no queues or parkers) reports nil counters.
-func TestStaticScheduleNoSchedCounters(t *testing.T) {
-	s, err := NewSolver(Config{
-		Dims: []int{34, 34, 34}, Timesteps: 4, Scheme: NuCORALS,
-		Workers: 2, StaticSchedule: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Execute(nil, RunSpec{Timesteps: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Report.Sched != nil {
-		t.Errorf("static run reported scheduler counters: %+v", out.Report.Sched)
-	}
-}
-
 // TestReportJSONRoundTrip checks the stable report format: derived rates
 // present on the wire, base fields preserved through a round trip.
 func TestReportJSONRoundTrip(t *testing.T) {
@@ -234,11 +215,11 @@ func TestRenderFigureJSON(t *testing.T) {
 }
 
 // countedSolver builds a small NUMA-modeled solver for counter tests.
-func countedSolver(t *testing.T, static bool) *Solver {
+func countedSolver(t *testing.T) *Solver {
 	t.Helper()
 	s, err := NewSolver(Config{
 		Dims: []int{34, 34, 34}, Timesteps: 6, Scheme: NuCORALS,
-		Workers: 4, NUMANodes: 2, StaticSchedule: static,
+		Workers: 4, NUMANodes: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,115 +227,114 @@ func countedSolver(t *testing.T, static bool) *Solver {
 	return s
 }
 
-// TestRunStepsCounted exercises the counted-run surface on both executors:
-// totals consistent with the report, conservation between the requester
-// and server traffic views, a well-formed bottleneck report, and the
-// Prometheus and JSON exports.
+// TestRunStepsCounted exercises the counted-run surface: totals consistent
+// with the report, conservation between the requester and server traffic
+// views, a well-formed bottleneck report, and the Prometheus and JSON
+// exports. The subtest is named "dynamic", the scheduler's name, so
+// recorded test IDs stay valid.
 func TestRunStepsCounted(t *testing.T) {
-	for name, static := range map[string]bool{"dynamic": false, "static": true} {
-		t.Run(name, func(t *testing.T) {
-			s := countedSolver(t, static)
-			out, err := s.Execute(nil, RunSpec{Timesteps: 6, Counters: true, SamplePeriod: 100 * time.Microsecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, pc := out.Report, out.Counters
-			if pc == nil {
-				t.Fatal("counted run returned nil counters")
-			}
-			if pc.Updates() != rep.Updates {
-				t.Errorf("counter updates %d != report updates %d", pc.Updates(), rep.Updates)
-			}
-			if got, want := pc.Flops(), rep.Updates*int64(rep.FlopsPerUpdate); got != want {
-				t.Errorf("flops = %d, want %d", got, want)
-			}
-			if pc.MainBytes() <= 0 || pc.LLCBytes() <= 0 {
-				t.Errorf("degenerate traffic: main %d llc %d", pc.MainBytes(), pc.LLCBytes())
-			}
-			// Conservation: the requester view (local+remote) and the server
-			// view (controller bytes) account the same traffic, up to one
-			// rounding per worker-shard counter.
-			reqView := pc.LocalBytes() + pc.RemoteBytes()
-			slack := int64(rep.Workers * 2)
-			if diff := reqView - pc.MainBytes(); diff > slack || diff < -slack {
-				t.Errorf("local+remote %d != controller sum %d", reqView, pc.MainBytes())
-			}
+	t.Run("dynamic", func(t *testing.T) {
+		s := countedSolver(t)
+		out, err := s.Execute(nil, RunSpec{Timesteps: 6, Counters: true, SamplePeriod: 100 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, pc := out.Report, out.Counters
+		if pc == nil {
+			t.Fatal("counted run returned nil counters")
+		}
+		if pc.Updates() != rep.Updates {
+			t.Errorf("counter updates %d != report updates %d", pc.Updates(), rep.Updates)
+		}
+		if got, want := pc.Flops(), rep.Updates*int64(rep.FlopsPerUpdate); got != want {
+			t.Errorf("flops = %d, want %d", got, want)
+		}
+		if pc.MainBytes() <= 0 || pc.LLCBytes() <= 0 {
+			t.Errorf("degenerate traffic: main %d llc %d", pc.MainBytes(), pc.LLCBytes())
+		}
+		// Conservation: the requester view (local+remote) and the server
+		// view (controller bytes) account the same traffic, up to one
+		// rounding per worker-shard counter.
+		reqView := pc.LocalBytes() + pc.RemoteBytes()
+		slack := int64(rep.Workers * 2)
+		if diff := reqView - pc.MainBytes(); diff > slack || diff < -slack {
+			t.Errorf("local+remote %d != controller sum %d", reqView, pc.MainBytes())
+		}
 
-			br := pc.Bottleneck()
-			known := map[string]bool{
-				"PeakDP": true, "LL1Band0C": true, "SysBandIC": true,
-				"SysBand0C": true, "Controller": true, "Interconnect": true,
-			}
-			if !known[br.Binding] {
-				t.Errorf("unknown binding bound %q", br.Binding)
-			}
-			if len(br.Bounds) != 5 {
-				t.Errorf("bounds = %d entries, want 5", len(br.Bounds))
-			}
-			if br.ModelSeconds <= 0 || br.MeasuredSeconds != rep.Seconds {
-				t.Errorf("seconds: model %g measured %g (report %g)",
-					br.ModelSeconds, br.MeasuredSeconds, rep.Seconds)
-			}
-			if br.Machine == "" || br.Cores < 1 {
-				t.Errorf("attribution identity missing: %+v", br)
-			}
+		br := pc.Bottleneck()
+		known := map[string]bool{
+			"PeakDP": true, "LL1Band0C": true, "SysBandIC": true,
+			"SysBand0C": true, "Controller": true, "Interconnect": true,
+		}
+		if !known[br.Binding] {
+			t.Errorf("unknown binding bound %q", br.Binding)
+		}
+		if len(br.Bounds) != 5 {
+			t.Errorf("bounds = %d entries, want 5", len(br.Bounds))
+		}
+		if br.ModelSeconds <= 0 || br.MeasuredSeconds != rep.Seconds {
+			t.Errorf("seconds: model %g measured %g (report %g)",
+				br.ModelSeconds, br.MeasuredSeconds, rep.Seconds)
+		}
+		if br.Machine == "" || br.Cores < 1 {
+			t.Errorf("attribution identity missing: %+v", br)
+		}
 
-			if pc.MeanTileLatency() <= 0 {
-				t.Error("mean tile latency not positive")
-			}
-			if pc.LatencyQuantile(0.99) < pc.LatencyQuantile(0.5) {
-				t.Error("p99 latency below median")
-			}
-			if !strings.Contains(pc.Describe(), br.Binding) {
-				t.Errorf("Describe() missing binding bound:\n%s", pc.Describe())
-			}
+		if pc.MeanTileLatency() <= 0 {
+			t.Error("mean tile latency not positive")
+		}
+		if pc.LatencyQuantile(0.99) < pc.LatencyQuantile(0.5) {
+			t.Error("p99 latency below median")
+		}
+		if !strings.Contains(pc.Describe(), br.Binding) {
+			t.Errorf("Describe() missing binding bound:\n%s", pc.Describe())
+		}
 
-			data, err := json.Marshal(pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				Counters struct {
-					PerNode []struct {
-						ControllerBytes int64 `json:"controller_bytes"`
-					} `json:"per_node"`
-				} `json:"counters"`
-				Attribution struct {
-					Binding string `json:"binding"`
-				} `json:"attribution"`
-			}
-			if err := json.Unmarshal(data, &doc); err != nil {
-				t.Fatalf("counters JSON invalid: %v", err)
-			}
-			if len(doc.Counters.PerNode) != 2 {
-				t.Errorf("JSON per_node = %d entries, want 2", len(doc.Counters.PerNode))
-			}
-			if doc.Attribution.Binding != br.Binding {
-				t.Errorf("JSON binding %q != report %q", doc.Attribution.Binding, br.Binding)
-			}
+		data, err := json.Marshal(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Counters struct {
+				PerNode []struct {
+					ControllerBytes int64 `json:"controller_bytes"`
+				} `json:"per_node"`
+			} `json:"counters"`
+			Attribution struct {
+				Binding string `json:"binding"`
+			} `json:"attribution"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("counters JSON invalid: %v", err)
+		}
+		if len(doc.Counters.PerNode) != 2 {
+			t.Errorf("JSON per_node = %d entries, want 2", len(doc.Counters.PerNode))
+		}
+		if doc.Attribution.Binding != br.Binding {
+			t.Errorf("JSON binding %q != report %q", doc.Attribution.Binding, br.Binding)
+		}
 
-			var prom bytes.Buffer
-			if err := pc.WritePrometheus(&prom); err != nil {
-				t.Fatal(err)
+		var prom bytes.Buffer
+		if err := pc.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		for _, metric := range []string{
+			"nustencil_node_controller_bytes{node=\"1\"}",
+			"nustencil_tile_latency_seconds_bucket{le=\"+Inf\"}",
+			"nustencil_bound_seconds",
+			"nustencil_bound_binding",
+		} {
+			if !strings.Contains(prom.String(), metric) {
+				t.Errorf("prometheus output missing %s", metric)
 			}
-			for _, metric := range []string{
-				"nustencil_node_controller_bytes{node=\"1\"}",
-				"nustencil_tile_latency_seconds_bucket{le=\"+Inf\"}",
-				"nustencil_bound_seconds",
-				"nustencil_bound_binding",
-			} {
-				if !strings.Contains(prom.String(), metric) {
-					t.Errorf("prometheus output missing %s", metric)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunStepsTraceCountedChromeCounters checks the trace integration: every
 // scheduler sample becomes two "ph":"C" counter events in the Chrome export.
 func TestRunStepsTraceCountedChromeCounters(t *testing.T) {
-	s := countedSolver(t, false)
+	s := countedSolver(t)
 	out, err := s.Execute(nil, RunSpec{Timesteps: 6, Trace: true, Counters: true, SamplePeriod: 50 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +388,7 @@ func TestRunStepsTraceCountedChromeCounters(t *testing.T) {
 
 // TestRunStepsCountedUnknownMachine pins the error path.
 func TestRunStepsCountedUnknownMachine(t *testing.T) {
-	s := countedSolver(t, false)
+	s := countedSolver(t)
 	if _, err := s.Execute(nil, RunSpec{Timesteps: 2, Counters: true, Machine: "bogus"}); err == nil {
 		t.Error("unknown machine must error")
 	}

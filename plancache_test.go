@@ -36,14 +36,13 @@ func (f *fixedScheme) Tiles(p *tiling.Problem) ([]*spacetime.Tile, error) {
 	return f.tiles(p), nil
 }
 
-// TestStructuralPlanErrorRejected: a plan whose dependencies are cyclic, or
-// whose static order would deadlock, is rejected when it is built. The
-// error surfaces from Execute, but the plan is not cached, no tile touches
-// the grid, and the solver is not poisoned.
+// TestStructuralPlanErrorRejected: a plan whose dependencies are cyclic is
+// rejected when it is built. The error surfaces from Execute, but the plan
+// is not cached, no tile touches the grid, and the solver is not poisoned.
 func TestStructuralPlanErrorRejected(t *testing.T) {
-	// tile cuts the interior at its dim-0 midpoint and returns the left or
-	// right half spanning timesteps [t0, t0+height), owned by owner.
-	tile := func(p *tiling.Problem, right bool, t0, height, owner int) *spacetime.Tile {
+	// half cuts the interior at its dim-0 midpoint and returns the left or
+	// right half spanning every timestep.
+	half := func(p *tiling.Problem, right bool) *spacetime.Tile {
 		in := p.Grid.Interior(p.Stencil.Order)
 		b := in.Clone()
 		mid := (in.Lo[0] + in.Hi[0]) / 2
@@ -52,64 +51,37 @@ func TestStructuralPlanErrorRejected(t *testing.T) {
 		} else {
 			b.Hi[0] = mid
 		}
-		tl := spacetime.NewTileFromBox(b, t0, height, in)
-		tl.Owner = owner
-		return tl
+		return spacetime.NewTileFromBox(b, 0, p.Timesteps, in)
 	}
-	for _, tc := range []struct {
-		name   string
-		static bool
-		tiles  func(p *tiling.Problem) []*spacetime.Tile
-		want   error
-	}{
-		// Two side-by-side tiles spanning every step each read the other's
-		// earlier output.
-		{"cycle", false, func(p *tiling.Problem) []*spacetime.Tile {
-			return []*spacetime.Tile{
-				tile(p, false, 0, p.Timesteps, -1),
-				tile(p, true, 0, p.Timesteps, -1),
-			}
-		}, engine.ErrCycle},
-		// Each worker lists its step-1 tile before the step-0 tile the
-		// other worker's step-1 tile needs.
-		{"static order", true, func(p *tiling.Problem) []*spacetime.Tile {
-			return []*spacetime.Tile{
-				tile(p, false, 1, 1, 0),
-				tile(p, true, 0, 1, 0),
-				tile(p, true, 1, 1, 1),
-				tile(p, false, 0, 1, 1),
-			}
-		}, engine.ErrStaticDeadlock},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSolver(Config{
-				Dims: []int{22, 12}, Timesteps: 2, Scheme: Naive,
-				Workers: 2, StaticSchedule: tc.static,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.SetInitial(func(pt []int) float64 { return float64(pt[0]*5-pt[1]) * 0.25 })
-			before := s.Export(nil)
-			s.scheme = &fixedScheme{Scheme: s.scheme, tiles: tc.tiles}
+	// Two side-by-side tiles spanning every step each read the other's
+	// earlier output.
+	t.Run("cycle", func(t *testing.T) {
+		s, err := NewSolver(Config{Dims: []int{22, 12}, Timesteps: 2, Scheme: Naive, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetInitial(func(pt []int) float64 { return float64(pt[0]*5-pt[1]) * 0.25 })
+		before := s.Export(nil)
+		s.scheme = &fixedScheme{Scheme: s.scheme, tiles: func(p *tiling.Problem) []*spacetime.Tile {
+			return []*spacetime.Tile{half(p, false), half(p, true)}
+		}}
 
-			if _, err := s.Execute(context.Background(), RunSpec{Timesteps: 2}); !errors.Is(err, tc.want) {
-				t.Fatalf("err = %v, want %v", err, tc.want)
+		if _, err := s.Execute(context.Background(), RunSpec{Timesteps: 2}); !errors.Is(err, engine.ErrCycle) {
+			t.Fatalf("err = %v, want %v", err, engine.ErrCycle)
+		}
+		if err := s.Err(); err != nil {
+			t.Fatalf("rejected plan poisoned the solver: %v", err)
+		}
+		if len(s.plans) != 0 {
+			t.Fatalf("rejected plan was cached (%d plans)", len(s.plans))
+		}
+		after := s.Export(nil)
+		for i := range before {
+			if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("grid value %d changed from %v to %v", i, before[i], after[i])
 			}
-			if err := s.Err(); err != nil {
-				t.Fatalf("rejected plan poisoned the solver: %v", err)
-			}
-			if len(s.plans) != 0 {
-				t.Fatalf("rejected plan was cached (%d plans)", len(s.plans))
-			}
-			after := s.Export(nil)
-			for i := range before {
-				if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
-					t.Fatalf("grid value %d changed from %v to %v", i, before[i], after[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestPlanCacheReusesTiling: a second Execute with the same timestep count

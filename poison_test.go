@@ -125,112 +125,94 @@ func TestCancelPoisonsAndImportRestores(t *testing.T) {
 }
 
 // A panicking kernel must surface as *engine.PanicError and poison the
-// solver, for every scheme and both executors; Load restores it.
+// solver, for every scheme; Load restores it.
 func TestKernelPanicPoisonsAllSchemes(t *testing.T) {
-	staticOK := map[SchemeName]bool{Naive: true, CATS: true, NuCATS: true, NuCORALS: true, PLuTo: true}
 	for _, scheme := range Schemes() {
-		for _, static := range []bool{false, true} {
-			if static && !staticOK[scheme] {
-				continue
+		t.Run(string(scheme), func(t *testing.T) {
+			mk := func() *Solver {
+				s, err := NewSolver(Config{Dims: []int{14, 14}, Timesteps: 4, Scheme: scheme, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetInitial(func(pt []int) float64 { return float64(pt[0]*3 + pt[1]) })
+				return s
 			}
-			name := string(scheme)
-			if static {
-				name += "/static"
+
+			// Checkpoint a healthy solver to restore from later.
+			healthy := mk()
+			if _, err := healthy.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				mk := func() *Solver {
-					s, err := NewSolver(Config{
-						Dims: []int{14, 14}, Timesteps: 4, Scheme: scheme,
-						Workers: 2, StaticSchedule: static,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.SetInitial(func(pt []int) float64 { return float64(pt[0]*3 + pt[1]) })
-					return s
-				}
+			var cp bytes.Buffer
+			if err := healthy.Save(&cp); err != nil {
+				t.Fatal(err)
+			}
+			wantProbe := healthy.Value([]int{7, 7})
 
-				// Checkpoint a healthy solver to restore from later.
-				healthy := mk()
-				if _, err := healthy.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
-					t.Fatal(err)
-				}
-				var cp bytes.Buffer
-				if err := healthy.Save(&cp); err != nil {
-					t.Fatal(err)
-				}
-				wantProbe := healthy.Value([]int{7, 7})
+			s := mk()
+			if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
+				t.Fatal(err)
+			}
+			// Panic on the plan's first tile execution: it fires no
+			// matter how coarsely the scheme tiles these 2 steps, and
+			// peers that complete other tiles concurrently leave
+			// multi-tile plans genuinely half-mutated.
+			s.execWrap = panicWrapNth(1)
+			_, err := s.Execute(nil, RunSpec{Timesteps: 2})
+			var pe *engine.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v (%T), want *engine.PanicError", err, err)
+			}
+			if pe.Tile < 0 {
+				t.Errorf("PanicError.Tile = %d, want a real tile ID", pe.Tile)
+			}
+			if err := s.Err(); !errors.Is(err, ErrPoisoned) {
+				t.Fatalf("solver not poisoned after kernel panic: %v", err)
+			}
+			if _, err := s.Run(); !errors.Is(err, ErrPoisoned) {
+				t.Errorf("poisoned Run: %v, want ErrPoisoned", err)
+			}
 
-				s := mk()
-				if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
-					t.Fatal(err)
-				}
-				// Panic on the plan's first tile execution: it fires no
-				// matter how coarsely the scheme tiles these 2 steps, and
-				// peers that complete other tiles concurrently leave
-				// multi-tile plans genuinely half-mutated.
-				s.execWrap = panicWrapNth(1)
-				_, err := s.Execute(nil, RunSpec{Timesteps: 2})
-				var pe *engine.PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("err = %v (%T), want *engine.PanicError", err, err)
-				}
-				if pe.Tile < 0 {
-					t.Errorf("PanicError.Tile = %d, want a real tile ID", pe.Tile)
-				}
-				if err := s.Err(); !errors.Is(err, ErrPoisoned) {
-					t.Fatalf("solver not poisoned after kernel panic: %v", err)
-				}
-				if _, err := s.Run(); !errors.Is(err, ErrPoisoned) {
-					t.Errorf("poisoned Run: %v, want ErrPoisoned", err)
-				}
-
-				// Load restores the checkpointed state and clears the poison.
-				s.execWrap = nil
-				if err := s.Load(bytes.NewReader(cp.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Err(); err != nil {
-					t.Fatalf("Load did not clear the poison: %v", err)
-				}
-				if got := s.Value([]int{7, 7}); got != wantProbe {
-					t.Errorf("restored value %v, want %v", got, wantProbe)
-				}
-				if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
-					t.Errorf("run after restore: %v", err)
-				}
-			})
-		}
+			// Load restores the checkpointed state and clears the poison.
+			s.execWrap = nil
+			if err := s.Load(bytes.NewReader(cp.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Err(); err != nil {
+				t.Fatalf("Load did not clear the poison: %v", err)
+			}
+			if got := s.Value([]int{7, 7}); got != wantProbe {
+				t.Errorf("restored value %v, want %v", got, wantProbe)
+			}
+			if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
+				t.Errorf("run after restore: %v", err)
+			}
+		})
 	}
 }
 
 // Cancellation mid-run (not pre-cancelled): a deadline lands
 // while a long plan executes, the error is the context's, and the solver
-// poisons — under both executors.
+// poisons.
 func TestRunContextDeadlineMidRun(t *testing.T) {
-	for _, static := range []bool{false, true} {
-		s, err := NewSolver(Config{
-			Dims: []int{40, 40, 40}, Timesteps: 40, Workers: 2,
-			Scheme: NuCORALS, StaticSchedule: static,
-		})
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewSolver(Config{Dims: []int{40, 40, 40}, Timesteps: 40, Workers: 2, Scheme: NuCORALS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slow every tile down so the deadline reliably lands mid-plan.
+	s.execWrap = func(inner engine.Exec) engine.Exec {
+		return func(w int, tile *spacetime.Tile) int64 {
+			time.Sleep(200 * time.Microsecond)
+			return inner(w, tile)
 		}
-		// Slow every tile down so the deadline reliably lands mid-plan.
-		s.execWrap = func(inner engine.Exec) engine.Exec {
-			return func(w int, tile *spacetime.Tile) int64 {
-				time.Sleep(200 * time.Microsecond)
-				return inner(w, tile)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err = s.Execute(ctx, RunSpec{Timesteps: 40})
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("static=%v: err = %v, want context.DeadlineExceeded", static, err)
-		}
-		if err := s.Err(); !errors.Is(err, ErrPoisoned) {
-			t.Errorf("static=%v: solver not poisoned: %v", static, err)
-		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	_, err = s.Execute(ctx, RunSpec{Timesteps: 40})
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if err := s.Err(); !errors.Is(err, ErrPoisoned) {
+		t.Errorf("solver not poisoned: %v", err)
 	}
 }

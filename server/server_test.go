@@ -159,6 +159,17 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("bad spec %d: got %d %s", i, code, raw)
 		}
 	}
+	// A field JobSpec does not have, here the removed static_schedule, is a
+	// decode error, not a silently ignored request.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"problem": {"dims": [18,18], "static_schedule": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("spec with an unknown field: got %d", resp.StatusCode)
+	}
 
 	// Admission limits.
 	srv2 := New(Config{Limits: Limits{MaxCells: 1000, MaxTimesteps: 5}})
