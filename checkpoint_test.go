@@ -264,13 +264,30 @@ func checkpointFuzzSolver(tb testing.TB, cfg Config, seed int64) *Solver {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// The fills may call their functions concurrently, so the values are
+	// drawn first, in the order a serial row-major fill would draw them,
+	// and installed by cell.
 	r := rand.New(rand.NewSource(seed))
-	s.SetInitial(func([]int) float64 { return r.Float64() })
+	draw := func(scale, shift float64) []float64 {
+		v := make([]float64, s.Len())
+		for i := range v {
+			v[i] = r.Float64()*scale + shift
+		}
+		return v
+	}
+	if err := s.Import(draw(1, 0)); err != nil {
+		tb.Fatal(err)
+	}
 	if cfg.Banded {
-		if err := s.SetCoefficients(func(int, []int) float64 { return r.Float64() / 4 }); err != nil {
+		bands := make([][]float64, s.NumPoints())
+		for p := range bands {
+			bands[p] = draw(0.25, 0)
+		}
+		if err := s.SetCoefficients(func(p int, pt []int) float64 { return bands[p][s.g.Index(pt)] }); err != nil {
 			tb.Fatal(err)
 		}
-		s.SetSource(func([]int) float64 { return r.Float64() - 0.5 })
+		src := draw(1, -0.5)
+		s.SetSource(func(pt []int) float64 { return src[s.g.Index(pt)] })
 	}
 	return s
 }

@@ -36,7 +36,11 @@
 // SetInitial calls its function once per cell. SetInitialRows is the same
 // fill for fields that can compute a whole unit-stride row at once: one
 // call per row, with the coordinates of the row's first cell and the row's
-// cells to set.
+// cells to set. Every fill (SetInitial, SetInitialRows, SetSource,
+// SetCoefficients, Import) is the scheme's Phase I: each worker fills its
+// own part of the grid and so first-touches the pages it computes, which
+// means the function may be called concurrently from several goroutines.
+// A pure function of the coordinates is safe.
 //
 // Run is the convenience form of Execute, the solver's one execution entry
 // point: a RunSpec selects the timestep count and what to collect (trace,

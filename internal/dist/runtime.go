@@ -293,7 +293,7 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 		rt.chareRank[i] = int32(InitialRank(i, n, opts.Ranks))
 	}
 	first := rt.deal()
-	err := rt.perChare(func(c int) int { return first(c, 0) }, func(c int) {
+	err := engine.Each(n, workers, false, func(c int) int { return first(c, 0) }, func(c int) {
 		rt.chares[c] = rt.buildChare(c)
 	})
 	if err != nil {
@@ -389,29 +389,6 @@ func (rt *Runtime) buildChare(i int) *chare {
 		}
 	}
 	return c
-}
-
-// perChare calls f(c) for every chare c in one engine.Run of one tile
-// per chare, chare c's run by worker owner(c), so that the ranks' workers
-// fill or drain their own chares in parallel. A panic in f returns as
-// *engine.PanicError.
-func (rt *Runtime) perChare(owner func(c int) int, f func(c int)) error {
-	n := len(rt.chares)
-	backing := make([]spacetime.Tile, n)
-	tiles := make([]*spacetime.Tile, n)
-	for c := range backing {
-		backing[c] = spacetime.Tile{Owner: owner(c), Node: -1}
-		tiles[c] = &backing[c]
-	}
-	_, err := engine.Run(tiles, engine.Config{
-		Workers: len(rt.busy),
-		Deps:    make([][]int, n),
-		Exec: func(_ int, tile *spacetime.Tile) int64 {
-			f(tile.ID)
-			return 0
-		},
-	})
-	return err
 }
 
 // Run advances every chare by timesteps steps and gathers the result
@@ -707,13 +684,13 @@ func (rt *Runtime) sampleResident() {
 
 // gather copies every chare's owned cells from its final local buffer
 // into the global buffer of the final parity, each chare on the worker
-// that ran its last step (perChare). The global boundary ring is never
+// that ran its last step (engine.Each). The global boundary ring is never
 // written: both global buffers keep their (identical, invariant)
 // boundary values, exactly as a single-process run would.
 func (rt *Runtime) gather() error {
 	gg := rt.prob.Grid
 	dst := gg.Buf(rt.prob.Base + rt.T)
-	return rt.perChare(func(c int) int { return rt.chares[c].worker }, func(i int) {
+	return engine.Each(len(rt.chares), len(rt.busy), false, func(c int) int { return rt.chares[c].worker }, func(i int) {
 		c := rt.chares[i]
 		src := c.g.Buf(rt.T)
 		gg.ForEachRow(c.owned, func(goff, length int, pt []int) {

@@ -41,7 +41,9 @@ type Config struct {
 	// Wrap and checks it itself.
 	Deps [][]int
 	// Pin locks each worker goroutine to an OS thread and best-effort pins
-	// it to CPU w (Linux). Purely an optimization for real runs.
+	// it to CPU w (Linux). Purely an optimization for real runs. The
+	// pinned threads end with the run, so no later goroutine inherits a
+	// pin.
 	Pin bool
 	// Scheme, when non-empty, names the tiling scheme for observability:
 	// workers run under runtime/pprof labels (scheme=<Scheme>, worker=<w>)
@@ -272,8 +274,10 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 		go func(w int) {
 			defer wg.Done()
 			if cfg.Pin {
+				// Never unlocked: a goroutine that exits locked ends its
+				// thread, where an unlocked one would hand the thread,
+				// still pinned to CPU w, to whatever goroutine runs next.
 				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
 				_ = affinity.PinCurrentThread(w)
 			}
 			pprof.Do(context.Background(), workerLabels(cfg.Scheme, w), func(context.Context) {

@@ -125,72 +125,95 @@ func (g *Grid) At(b int, pt []int) float64 { return g.buf[b&1][g.Index(pt)] }
 // Set stores v at pt in buffer b.
 func (g *Grid) Set(b int, pt []int, v float64) { g.buf[b&1][g.Index(pt)] = v }
 
-// Fill sets every element of buffer b to v.
-func (g *Grid) Fill(b int, v float64) {
-	buf := g.buf[b&1]
-	for i := range buf {
-		buf[i] = v
-	}
-}
-
-// FillBoth sets every element of both buffers to v.
-func (g *Grid) FillBoth(v float64) {
-	g.Fill(0, v)
-	g.Fill(1, v)
-}
-
 // FillFunc initializes both buffers identically from f(pt), calling f as
-// Tabulate does. Both buffers must agree initially so that the fixed
-// boundary ring reads the same from either parity.
-func (g *Grid) FillFunc(f func(pt []int) float64) {
-	g.Tabulate(g.buf[0], f)
-	copy(g.buf[1], g.buf[0])
+// Tabulate does over the whole grid. Both buffers must agree initially so
+// that the fixed boundary ring reads the same from either parity.
+func (g *Grid) FillFunc(f func(pt []int) float64) { g.FillFuncIn(g.Bounds(), f) }
+
+// FillFuncIn is FillFunc over the box b alone: it calls f once per cell
+// of b in row-major order and copies each row into buffer 1 once it is
+// set in buffer 0.
+func (g *Grid) FillFuncIn(b Box, f func(pt []int) float64) { g.FillRowsIn(b, g.cells(f)) }
+
+// FillRowsIn is TabulateRows over the box b into buffer 0, each row then
+// copied into buffer 1, so both buffers of b agree.
+func (g *Grid) FillRowsIn(b Box, f func(pt []int, row []float64)) {
+	g.tabulateRows(g.buf[0], g.buf[1], b, f)
 }
 
-// Tabulate sets dst[i] = f(pt) for every cell, pt holding the coordinates of
-// flat offset i, and calls f in flat-offset (row-major) order. dst must have
-// the grid's length. The walk keeps its position apart from pt and copies it
-// in before every call, so f may change pt freely.
-func (g *Grid) Tabulate(dst []float64, f func(pt []int) float64) {
+// Tabulate sets dst[i] = f(pt) for every cell of the box b, pt holding the
+// cell's coordinates, and calls f in flat-offset (row-major) order. dst
+// must have the grid's length. The walk keeps its position apart from pt
+// and copies it in before every call, so f may change pt freely.
+func (g *Grid) Tabulate(dst []float64, b Box, f func(pt []int) float64) {
+	g.TabulateRows(dst, b, g.cells(f))
+}
+
+// cells adapts a per-cell f to TabulateRows: the returned function sets
+// every cell of a row from f, copying the row start into pt before every
+// call. It owns that pt, so each walk needs its own adapter.
+func (g *Grid) cells(f func(pt []int) float64) func(start []int, row []float64) {
 	last := len(g.dims) - 1
 	pt := make([]int, len(g.dims))
-	g.TabulateRows(dst, func(start []int, row []float64) {
+	return func(start []int, row []float64) {
+		c0 := start[last]
 		for i := range row {
 			// A loop, not copy: a memmove call per cell made the whole walk
 			// about twice as slow.
 			for k, c := range start {
 				pt[k] = c
 			}
-			pt[last] = i
+			pt[last] = c0 + i
 			row[i] = f(pt)
 		}
-	})
+	}
 }
 
-// TabulateRows calls f once per unit-stride row of dst, in row-major order,
-// to fill that row: pt holds the coordinates of the row's first cell (its
-// last coordinate is 0), and row is the row's cells, its capacity clipped to
-// the row. dst must have the grid's length. The walk keeps its position
-// apart from pt and copies it in before every call, so f may change pt
-// freely.
-func (g *Grid) TabulateRows(dst []float64, f func(pt []int, row []float64)) {
+// TabulateRows calls f once per unit-stride run of the box b in dst, in
+// row-major order, to fill that run: pt holds the coordinates of the
+// run's first cell (its last coordinate is b's low bound in the
+// unit-stride dimension, 0 for a whole row), and row is the run's cells,
+// its capacity clipped to the run. dst must have the grid's length. The
+// walk keeps its position apart from pt and copies it in before every
+// call, so f may change pt freely.
+func (g *Grid) TabulateRows(dst []float64, b Box, f func(pt []int, row []float64)) {
+	g.tabulateRows(dst, nil, b, f)
+}
+
+// tabulateRows is TabulateRows that also copies each run, once f has set
+// it, into mirror when mirror is not nil. Its own odometer loop, not
+// ForEachRow's callback, keeps a served job's fill as cheap per row as a
+// whole-grid walk.
+func (g *Grid) tabulateRows(dst, mirror []float64, b Box, f func(pt []int, row []float64)) {
 	if len(dst) != g.n {
 		panic(fmt.Sprintf("grid: Tabulate into %d cells, grid has %d", len(dst), g.n))
 	}
+	if b.Empty() {
+		return
+	}
 	nd := len(g.dims)
-	n := g.dims[nd-1]
-	at := make([]int, nd)
+	n := b.Hi[nd-1] - b.Lo[nd-1]
+	at := append([]int(nil), b.Lo...)
 	pt := make([]int, nd)
-	for i := 0; i < len(dst); i += n {
+	for {
+		off := g.Index(at)
 		copy(pt, at)
-		f(pt, dst[i:i+n:i+n])
+		row := dst[off : off+n : off+n]
+		f(pt, row)
+		if mirror != nil {
+			copy(mirror[off:off+n], row)
+		}
 		// Advance the odometer over the outer dimensions, the innermost
 		// fastest.
-		for k := nd - 2; k >= 0; k-- {
-			if at[k]++; at[k] < g.dims[k] {
+		k := nd - 2
+		for ; k >= 0; k-- {
+			if at[k]++; at[k] < b.Hi[k] {
 				break
 			}
-			at[k] = 0
+			at[k] = b.Lo[k]
+		}
+		if k < 0 {
+			return
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestTabulateMatchesCoordsWalk(t *testing.T) {
 		g := New(dims)
 		var calls [][]int
 		got := make([]float64, g.Len())
-		g.Tabulate(got, func(pt []int) float64 {
+		g.Tabulate(got, g.Bounds(), func(pt []int) float64 {
 			calls = append(calls, append([]int(nil), pt...))
 			v := float64(g.Index(pt))
 			for k := range pt {
@@ -119,7 +119,7 @@ func TestTabulateRows(t *testing.T) {
 		n := dims[last]
 		dst := make([]float64, g.Len())
 		calls := 0
-		g.TabulateRows(dst, func(pt []int, row []float64) {
+		g.TabulateRows(dst, g.Bounds(), func(pt []int, row []float64) {
 			if len(row) != n || cap(row) != n {
 				t.Fatalf("dims %v: row %d has len %d cap %d, want %d", dims, calls, len(row), cap(row), n)
 			}
@@ -149,11 +149,86 @@ func TestTabulateRows(t *testing.T) {
 	}
 }
 
+// Over a box, the fills touch only the box's cells, call f once per cell
+// or per run of the box in row-major order, start a run's pt at the box's
+// low bound in the unit-stride dimension, and, for FillFuncIn and
+// FillRowsIn, set both buffers alike.
+func TestFillsWithinABox(t *testing.T) {
+	g := New([]int{4, 5, 9})
+	b := NewBox([]int{1, 2, 3}, []int{3, 4, 7})
+	const untouched = -7.0
+	reset := func() {
+		for i := range g.Buf(0) {
+			g.Buf(0)[i], g.Buf(1)[i] = untouched, untouched
+		}
+	}
+	want := func(pt []int) float64 { return float64(g.Index(pt)) }
+	check := func(what string, bufs ...[]float64) {
+		t.Helper()
+		pt := make([]int, 3)
+		for _, buf := range bufs {
+			for i, v := range buf {
+				g.Coords(i, pt)
+				w := untouched
+				if b.Contains(pt) {
+					w = float64(i)
+				}
+				if v != w {
+					t.Fatalf("%s: cell %v holds %v, want %v", what, pt, v, w)
+				}
+			}
+		}
+	}
+	var cells [][]int
+	cellF := func(pt []int) float64 {
+		cells = append(cells, append([]int(nil), pt...))
+		v := want(pt)
+		pt[0], pt[2] = -1, -1
+		return v
+	}
+	rowF := func(pt []int, row []float64) {
+		if pt[2] != b.Lo[2] || len(row) != b.Extent(2) || cap(row) != len(row) {
+			t.Fatalf("run at %v of len %d cap %d, want one starting at %d of %d cells", pt, len(row), cap(row), b.Lo[2], b.Extent(2))
+		}
+		for i := range row {
+			row[i] = float64(g.Index(pt) + i)
+		}
+		pt[0] = -1
+	}
+	wantCells := func(what string) {
+		t.Helper()
+		if len(cells) != int(b.Size()) {
+			t.Fatalf("%s: %d calls, want %d", what, len(cells), b.Size())
+		}
+		for i := 1; i < len(cells); i++ {
+			if g.Index(cells[i]) <= g.Index(cells[i-1]) {
+				t.Fatalf("%s: call %d at %v after %v", what, i, cells[i], cells[i-1])
+			}
+		}
+		cells = nil
+	}
+
+	reset()
+	g.Tabulate(g.Buf(0), b, cellF)
+	wantCells("Tabulate")
+	check("Tabulate", g.Buf(0))
+	reset()
+	g.TabulateRows(g.Buf(1), b, rowF)
+	check("TabulateRows", g.Buf(1))
+	reset()
+	g.FillFuncIn(b, cellF)
+	wantCells("FillFuncIn")
+	check("FillFuncIn", g.Buf(0), g.Buf(1))
+	reset()
+	g.FillRowsIn(b, rowF)
+	check("FillRowsIn", g.Buf(0), g.Buf(1))
+}
+
 func TestTabulateLengthPanics(t *testing.T) {
 	g := New([]int{3, 4})
 	for name, tab := range map[string]func([]float64){
-		"Tabulate":     func(d []float64) { g.Tabulate(d, func([]int) float64 { return 0 }) },
-		"TabulateRows": func(d []float64) { g.TabulateRows(d, func([]int, []float64) {}) },
+		"Tabulate":     func(d []float64) { g.Tabulate(d, g.Bounds(), func([]int) float64 { return 0 }) },
+		"TabulateRows": func(d []float64) { g.TabulateRows(d, g.Bounds(), func([]int, []float64) {}) },
 	} {
 		for _, n := range []int{11, 13} {
 			func() {
@@ -242,7 +317,7 @@ func TestCloneIndependence(t *testing.T) {
 	if g.At(0, []int{1, 1}) != 3 {
 		t.Error("clone write leaked into original")
 	}
-	if c.OwnerOf([]int{1, 1}) != 2 {
+	if c.OwnerOfIndex(c.Index([]int{1, 1})) != 2 {
 		t.Error("clone should copy ownership")
 	}
 }
@@ -266,15 +341,15 @@ func TestOwnershipFirstTouch(t *testing.T) {
 	lower := NewBox([]int{2, 0}, []int{4, 8})
 	g.Touch(upper, 0)
 	g.Touch(lower, 1)
-	if got := g.OwnerOf([]int{0, 5}); got != 0 {
+	if got := g.OwnerOfIndex(g.Index([]int{0, 5})); got != 0 {
 		t.Errorf("upper owner = %d, want 0", got)
 	}
-	if got := g.OwnerOf([]int{3, 0}); got != 1 {
+	if got := g.OwnerOfIndex(g.Index([]int{3, 0})); got != 1 {
 		t.Errorf("lower owner = %d, want 1", got)
 	}
 	// First touch wins: re-touching with a different node is a no-op.
 	g.Touch(upper, 1)
-	if got := g.OwnerOf([]int{0, 0}); got != 0 {
+	if got := g.OwnerOfIndex(g.Index([]int{0, 0})); got != 0 {
 		t.Errorf("owner after re-touch = %d, want 0", got)
 	}
 }
@@ -308,9 +383,9 @@ func TestOwnershipUntouchedCountsAsRemote(t *testing.T) {
 	if f := g.LocalFraction(g.Bounds(), 0, 2); f != 0 {
 		t.Errorf("untouched LocalFraction = %v, want 0", f)
 	}
-	g.TouchAll(1)
+	g.Touch(g.Bounds(), 1)
 	if f := g.LocalFraction(g.Bounds(), 1, 2); f != 1 {
-		t.Errorf("after TouchAll LocalFraction = %v, want 1", f)
+		t.Errorf("after touching every page LocalFraction = %v, want 1", f)
 	}
 }
 

@@ -1,9 +1,10 @@
 package grid
 
-// Page ownership: an explicit stand-in for first-touch NUMA page placement.
-// A scheme's Phase-I decomposition "touches" the pages of the sub-domain each
-// thread owns; the cost model then classifies every access as local or remote
-// by comparing the accessing core's NUMA node with the page owner.
+// Page ownership: the model of first-touch NUMA page placement. A scheme's
+// Phase-I placement gives each worker a box of the grid, which that worker
+// fills and so first-touches; Touch records the box's pages on the
+// worker's node. The cost model then classifies every access as local or
+// remote by comparing the accessing core's NUMA node with the page owner.
 
 // PageSize returns the ownership page size in elements.
 func (g *Grid) PageSize() int { return g.pageSize }
@@ -12,32 +13,27 @@ func (g *Grid) PageSize() int { return g.pageSize }
 // or -1 if the page has not been touched.
 func (g *Grid) OwnerOfIndex(idx int) int { return int(g.pageOwner[idx/g.pageSize]) }
 
-// OwnerOf returns the NUMA node owning the page of point pt, or -1.
-func (g *Grid) OwnerOf(pt []int) int { return g.OwnerOfIndex(g.Index(pt)) }
-
 // Touch records node as the first-touch owner of every page overlapping the
 // box b. Pages already owned keep their owner, exactly like first-touch:
 // only the first writer places a page.
 func (g *Grid) Touch(b Box, node int) {
+	// The rows come in increasing offset, so a row ending before done, the
+	// end of the last page handled, has nothing left to place: short rows
+	// cost a comparison each, not two divisions.
+	done := 0
 	g.ForEachRow(b, func(off, length int, _ []int) {
-		first := off / g.pageSize
+		if off+length <= done {
+			return
+		}
+		first := max(off, done) / g.pageSize
 		last := (off + length - 1) / g.pageSize
 		for p := first; p <= last; p++ {
 			if g.pageOwner[p] < 0 {
 				g.pageOwner[p] = int32(node)
 			}
 		}
+		done = (last + 1) * g.pageSize
 	})
-}
-
-// TouchAll assigns every untouched page to node, modelling a serial
-// initialization loop that faults all remaining pages on one node.
-func (g *Grid) TouchAll(node int) {
-	for i, o := range g.pageOwner {
-		if o < 0 {
-			g.pageOwner[i] = int32(node)
-		}
-	}
 }
 
 // OwnershipCount returns, for a box, the number of elements owned by each of

@@ -157,7 +157,9 @@ func TestApplyPeriodicMatchesWrappedReference(t *testing.T) {
 								box.Hi[k] = box.Lo[k] + 1 + r.Intn(dims[k]-box.Lo[k])
 							}
 						}
-						g.Fill(1, sentinel)
+						for i := range g.Buf(1) {
+							g.Buf(1)[i] = sentinel
+						}
 						if n := op.ApplyBox(box, 0); n != box.Size() {
 							t.Fatalf("dims %v box %v: %d updates, want %d", dims, box, n, box.Size())
 						}
@@ -219,7 +221,7 @@ func TestApplyPeriodicSeamFreeFastPath(t *testing.T) {
 
 func TestSourceAppliesToBothPaths(t *testing.T) {
 	g := grid.New([]int{6, 6})
-	g.FillBoth(1)
+	g.FillFunc(func([]int) float64 { return 1 })
 	op := NewOp(NewStar(2, 1), g)
 	src := make([]float64, g.Len())
 	for i := range src {

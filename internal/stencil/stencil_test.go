@@ -143,7 +143,9 @@ func randomGrid(r *rand.Rand, dims []int) *grid.Grid {
 func oracleMismatch(op *Op, c *Coefficients, box grid.Box) string {
 	const sentinel = -1234.5
 	g := op.G
-	g.Fill(1, sentinel)
+	for i := range g.Buf(1) {
+		g.Buf(1)[i] = sentinel
+	}
 	if n := op.ApplyBox(box, 0); n != box.Size() {
 		return fmt.Sprintf("box %v: %d updates, want %d", box, n, box.Size())
 	}
@@ -287,7 +289,7 @@ func TestApplyBandedMatchesOracleAcrossCalls(t *testing.T) {
 func TestApplyBoxClipsToInterior(t *testing.T) {
 	s := NewStar(3, 1)
 	g := grid.New([]int{4, 4, 4})
-	g.FillBoth(1)
+	g.FillFunc(func([]int) float64 { return 1 })
 	op := NewOp(s, g)
 	// A box covering the whole grid must silently clip to the interior.
 	n := op.ApplyBox(g.Bounds(), 0)
@@ -314,7 +316,7 @@ func TestApplyParityAlternation(t *testing.T) {
 	// starting from a constant field keep it constant (weights sum to 1).
 	s := NewStar(2, 1)
 	g := grid.New([]int{8, 8})
-	g.FillBoth(3)
+	g.FillFunc(func([]int) float64 { return 3 })
 	op := NewOp(s, g)
 	for t0 := 0; t0 < 4; t0++ {
 		op.ApplyBox(g.Interior(1), t0)

@@ -64,7 +64,7 @@ func (*Scheme) NUMAAware() bool { return false }
 
 // Distribute records the NUMA-ignorant initialization: all pages fault on
 // the master's node.
-func (*Scheme) Distribute(p *tiling.Problem) { tiling.TouchSerial(p) }
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // RecommendedWidth returns the slab width the cache formula suggests. The
 // wavefront's in-cache reuse depth is Teff = C/(s·U·cb·W) timesteps (C =

@@ -56,7 +56,7 @@ func (*Scheme) Name() string { return "CORALS" }
 func (*Scheme) NUMAAware() bool { return false }
 
 // Distribute records the NUMA-ignorant serial initialization.
-func (*Scheme) Distribute(p *tiling.Problem) { tiling.TouchSerial(p) }
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // Tiles implements tiling.Scheme.
 func (s *Scheme) Tiles(p *tiling.Problem) ([]*spacetime.Tile, error) {

@@ -48,7 +48,7 @@ func (*Scheme) NUMAAware() bool { return false }
 
 // Distribute records the NUMA-ignorant serial initialization (OpenMP static
 // arrays faulted by the master thread).
-func (*Scheme) Distribute(p *tiling.Problem) { tiling.TouchSerial(p) }
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // Tiles implements tiling.Scheme.
 func (s *Scheme) Tiles(p *tiling.Problem) ([]*spacetime.Tile, error) {

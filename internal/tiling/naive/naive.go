@@ -24,10 +24,7 @@ func (*Scheme) Name() string { return "NaiveSSE" }
 func (*Scheme) NUMAAware() bool { return true }
 
 // Distribute assigns each worker's subdomain pages to its NUMA node.
-func (*Scheme) Distribute(p *tiling.Problem) {
-	subs, _ := tiling.Decompose(p.Interior(), p.Workers)
-	tiling.TouchSubdomains(p, subs)
-}
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // Tiles produces one tile per (worker, timestep): worker w sweeps its
 // subdomain at every step. The per-step global barrier of the pthreads

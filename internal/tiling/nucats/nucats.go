@@ -19,6 +19,7 @@
 package nucats
 
 import (
+	"nustencil/internal/grid"
 	"nustencil/internal/spacetime"
 	"nustencil/internal/tiling"
 	"nustencil/internal/tiling/cats"
@@ -130,20 +131,26 @@ func (pl Plan) Owners(workers int) []int {
 	return owners
 }
 
-// Distribute performs Phase I: each worker first-touches the slabs it owns,
-// so tile data lands on the owner's NUMA node.
-func (s *Scheme) Distribute(p *tiling.Problem) {
-	tiles, err := s.Tiles(p)
-	if err != nil {
-		tiling.TouchSerial(p)
-		return
+// Distribute performs Phase I: each worker first-touches its subdomain,
+// so the data of the slabs it owns lands on its NUMA node.
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
+
+// Subdomains implements tiling.Subdomainer: worker w's subdomain is the
+// w-th of Workers even parts of the interior along the tiling dimension
+// (fewer parts on a thinner interior). Whenever the slab count is a
+// multiple of the worker count, as Case 1 of PlanTiles makes it, and in
+// Case 2 unless the wavefront dimension is halved, these are exactly the
+// contiguous slab groups Owners deals, whatever the step count.
+func (*Scheme) Subdomains(p *tiling.Problem) []grid.Box {
+	interior := p.Interior()
+	d := cats.TilingDim
+	cuts := tiling.EvenCuts(interior.Lo[d], interior.Hi[d], p.Workers)
+	subs := make([]grid.Box, len(cuts)-1)
+	for w := range subs {
+		subs[w] = interior.Clone()
+		subs[w].Lo[d], subs[w].Hi[d] = cuts[w], cuts[w+1]
 	}
-	for _, t := range tiles {
-		if t.T0 == 0 {
-			p.Grid.Touch(t.At(0), p.NodeOfWorker(t.Owner))
-		}
-	}
-	p.Grid.TouchAll(p.NodeOfWorker(0))
+	return subs
 }
 
 // Tiles implements tiling.Scheme.
@@ -170,6 +177,7 @@ func (*Scheme) Traverse(tile *spacetime.Tile, order int) []tiling.StepBox {
 }
 
 var (
-	_ tiling.Scheme    = (*Scheme)(nil)
-	_ tiling.Traverser = (*Scheme)(nil)
+	_ tiling.Scheme      = (*Scheme)(nil)
+	_ tiling.Traverser   = (*Scheme)(nil)
+	_ tiling.Subdomainer = (*Scheme)(nil)
 )

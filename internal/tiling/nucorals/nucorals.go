@@ -79,10 +79,7 @@ func (*Scheme) NUMAAware() bool { return true }
 
 // Distribute is Phase I: one spatial tile per thread, first-touched on the
 // thread's node.
-func (*Scheme) Distribute(p *tiling.Problem) {
-	subs, _ := tiling.Decompose(p.Interior(), p.Workers)
-	tiling.TouchSubdomains(p, subs)
-}
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // Tau returns the thread-parallelogram height used for the problem:
 // b/(2s), at least 1, where b is the smallest decomposed extent of the

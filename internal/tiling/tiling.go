@@ -103,7 +103,8 @@ type Scheme interface {
 	// NUMAAware reports whether the scheme observes data-to-core affinity.
 	NUMAAware() bool
 	// Distribute records page ownership on the problem's grid the way the
-	// scheme's initialization would place pages.
+	// scheme's initialization places pages: Distribute(s, p), the
+	// ownership of the scheme's Placement.
 	Distribute(p *Problem)
 	// Tiles produces the space-time tiling for [0, Timesteps).
 	Tiles(p *Problem) ([]*spacetime.Tile, error)
@@ -281,33 +282,57 @@ func primeFactorsDesc(n int) []int {
 	return fs
 }
 
-// WorkerOfBox returns, for a list of subdomain boxes from Decompose, the
-// index whose box contains the most of b — "assigns tiles to threads based
-// on which subdomain contains most of the tile" (Section II). Ties go to
-// the lowest index.
-func WorkerOfBox(subdomains []grid.Box, b grid.Box) int {
-	best, bestOverlap := 0, int64(-1)
-	for i, sd := range subdomains {
-		if ov := sd.Intersect(b).Size(); ov > bestOverlap {
-			best, bestOverlap = i, ov
+// Subdomainer is implemented by NUMA-aware schemes whose Phase-I
+// subdomains are not the Section III-D decomposition: nuCATS gives each
+// worker a contiguous group of slabs along its tiling dimension.
+// Subdomains returns worker w's box of the interior at index w; the boxes
+// must tile the interior and must not depend on p.Timesteps.
+type Subdomainer interface {
+	Subdomains(p *Problem) []grid.Box
+}
+
+// Placement returns the scheme's Phase-I placement of the problem's grid:
+// box w is the part worker w initializes, and so first-touches. The boxes
+// cover the grid, boundary ring included, each cell once, and do not
+// depend on p.Timesteps. A NUMA-ignorant scheme initializes serially, so
+// its one box is the whole grid, on worker 0. A NUMA-aware scheme gives
+// each worker its subdomain (Subdomains, or the Decompose of the
+// interior), stretched over the part of the boundary ring it borders.
+// Workers beyond the subdomain count get no box.
+func Placement(s Scheme, p *Problem) []grid.Box {
+	bounds := p.Grid.Bounds()
+	if !s.NUMAAware() {
+		return []grid.Box{bounds}
+	}
+	interior := p.Interior()
+	var boxes []grid.Box
+	if sd, ok := s.(Subdomainer); ok {
+		boxes = sd.Subdomains(p)
+	} else {
+		boxes, _ = Decompose(interior, p.Workers)
+	}
+	for _, b := range boxes {
+		for k := range b.Lo {
+			if b.Lo[k] == interior.Lo[k] {
+				b.Lo[k] = bounds.Lo[k]
+			}
+			if b.Hi[k] == interior.Hi[k] {
+				b.Hi[k] = bounds.Hi[k]
+			}
 		}
 	}
-	return best
+	return boxes
 }
 
-// TouchSubdomains records first-touch ownership: worker w's subdomain pages
-// land on w's NUMA node. This is Phase I of the NUMA-aware schemes.
-func TouchSubdomains(p *Problem, subdomains []grid.Box) {
-	for w, sd := range subdomains {
-		p.Grid.Touch(sd, p.NodeOfWorker(w))
+// Place records the first-touch ownership of a placement: box w's pages on
+// worker w's node, in worker order, so a page two boxes share goes to the
+// lower worker's node. Pages already owned keep their owner.
+func Place(p *Problem, boxes []grid.Box) {
+	for w, b := range boxes {
+		p.Grid.Touch(b, p.NodeOfWorker(w))
 	}
-	// The boundary ring and any rounding leftovers fault on node 0 (the
-	// master thread initializes whatever the workers did not).
-	p.Grid.TouchAll(p.NodeOfWorker(0))
 }
 
-// TouchSerial records the NUMA-ignorant initialization: a serial init loop
-// first-touches every page on the master's node.
-func TouchSerial(p *Problem) {
-	p.Grid.TouchAll(p.NodeOfWorker(0))
-}
+// Distribute records the page ownership of s's Placement on p's grid: the
+// body of every scheme's Distribute.
+func Distribute(s Scheme, p *Problem) { Place(p, Placement(s, p)) }

@@ -8,6 +8,7 @@ import (
 
 	"nustencil/internal/affinity"
 	"nustencil/internal/grid"
+	"nustencil/internal/spacetime"
 	"nustencil/internal/stencil"
 )
 
@@ -228,19 +229,6 @@ func TestSkewedBoxPinnedEdges(t *testing.T) {
 	}
 }
 
-func TestWorkerOfBox(t *testing.T) {
-	subs := []grid.Box{
-		grid.NewBox([]int{0}, []int{10}),
-		grid.NewBox([]int{10}, []int{20}),
-	}
-	if w := WorkerOfBox(subs, grid.NewBox([]int{8}, []int{12})); w != 0 {
-		t.Errorf("tie-ish box -> %d, want 0 (equal overlap prefers lower)", w)
-	}
-	if w := WorkerOfBox(subs, grid.NewBox([]int{9}, []int{15})); w != 1 {
-		t.Errorf("majority box -> %d, want 1", w)
-	}
-}
-
 func TestProblemValidate(t *testing.T) {
 	g := grid.New([]int{8, 8})
 	st := stencil.NewStar(2, 1)
@@ -277,24 +265,92 @@ func TestProblemNodeHelpers(t *testing.T) {
 	}
 }
 
-func TestTouchSubdomains(t *testing.T) {
-	g := grid.NewWithPageSize([]int{4, 16}, 4)
-	st := stencil.NewStar(2, 1)
-	p := &Problem{Grid: g, Stencil: st, Timesteps: 1, Workers: 2,
-		Topo: affinity.Fixed{Cores: 2, Nodes: 2}}
-	subs, _ := Decompose(p.Interior(), 2)
-	TouchSubdomains(p, subs)
-	// Every page must be owned after TouchSubdomains.
-	for i := 0; i < g.Len(); i += g.PageSize() {
-		if g.OwnerOfIndex(i) < 0 {
-			t.Fatalf("page of index %d unowned", i)
+// stubScheme is a Scheme of a given NUMA awareness and, when subs is set,
+// given subdomains.
+type stubScheme struct {
+	aware bool
+	subs  func(p *Problem) []grid.Box
+}
+
+func (stubScheme) Name() string                              { return "stub" }
+func (s stubScheme) NUMAAware() bool                         { return s.aware }
+func (s stubScheme) Distribute(p *Problem)                   { Distribute(s, p) }
+func (stubScheme) Tiles(*Problem) ([]*spacetime.Tile, error) { return nil, nil }
+
+type stubSubdomainer struct{ stubScheme }
+
+func (s stubSubdomainer) Subdomains(p *Problem) []grid.Box { return s.subs(p) }
+
+// Placement's boxes cover the whole grid, boundary ring included, each
+// cell once; the step count does not change them; and Place records box
+// w's pages on worker w's node, a page two boxes share on the lower
+// worker's, leaving no page unowned.
+func TestPlacementCoversGrid(t *testing.T) {
+	slabs := func(p *Problem) []grid.Box {
+		in := p.Interior()
+		cuts := EvenCuts(in.Lo[0], in.Hi[0], p.Workers)
+		var out []grid.Box
+		for i := 0; i+1 < len(cuts); i++ {
+			b := in.Clone()
+			b.Lo[0], b.Hi[0] = cuts[i], cuts[i+1]
+			out = append(out, b)
 		}
+		return out
 	}
-	// The two subdomains' interiors land on different nodes.
-	if f := g.LocalFraction(subs[0], 0, 2); f < 0.5 {
-		t.Errorf("sub0 local fraction on node0 = %v", f)
+	schemes := map[string]Scheme{
+		"ignorant":    stubScheme{},
+		"decompose":   stubScheme{aware: true},
+		"subdomainer": stubSubdomainer{stubScheme{aware: true, subs: slabs}},
 	}
-	if f := g.LocalFraction(subs[1], 1, 2); f < 0.5 {
-		t.Errorf("sub1 local fraction on node1 = %v", f)
+	for _, dims := range [][]int{{9}, {4, 16}, {12, 7}, {6, 7, 8}, {3, 3, 40}} {
+		for _, workers := range []int{1, 2, 3, 4} {
+			for _, periodic := range []bool{false, true} {
+				for name, s := range schemes {
+					g := grid.NewWithPageSize(dims, 4)
+					p := &Problem{Grid: g, Stencil: stencil.NewStar(len(dims), 1), Timesteps: 1,
+						Workers: workers, Topo: affinity.Fixed{Cores: workers, Nodes: 2}, Periodic: periodic}
+					boxes := Placement(s, p)
+					if len(boxes) == 0 || len(boxes) > workers {
+						t.Fatalf("%s %v×%d: %d boxes", name, dims, workers, len(boxes))
+					}
+					if !s.NUMAAware() && (len(boxes) != 1 || !slices.Equal(boxes[0].Hi, dims)) {
+						t.Fatalf("%s %v×%d: %v, want the whole grid on worker 0", name, dims, workers, boxes)
+					}
+					seen := make([]int, g.Len())
+					for _, b := range boxes {
+						g.ForEachRow(b, func(off, n int, _ []int) {
+							for i := off; i < off+n; i++ {
+								seen[i]++
+							}
+						})
+					}
+					for i, c := range seen {
+						if c != 1 {
+							t.Fatalf("%s %v×%d periodic %v: cell %d in %d boxes", name, dims, workers, periodic, i, c)
+						}
+					}
+					p.Timesteps = 50
+					if again := Placement(s, p); !slices.EqualFunc(again, boxes, grid.Box.Equal) {
+						t.Fatalf("%s %v×%d: placement moved with the step count: %v, then %v", name, dims, workers, boxes, again)
+					}
+					Place(p, boxes)
+					for pg := 0; pg*g.PageSize() < g.Len(); pg++ {
+						want := -1
+						for w, b := range boxes {
+							lo, hi := pg*g.PageSize(), min((pg+1)*g.PageSize(), g.Len())
+							in := false
+							g.ForEachRow(b, func(off, n int, _ []int) { in = in || (off < hi && off+n > lo) })
+							if in {
+								want = p.NodeOfWorker(w)
+								break
+							}
+						}
+						if got := g.OwnerOfIndex(pg * g.PageSize()); got != want {
+							t.Fatalf("%s %v×%d: page %d on node %d, want %d", name, dims, workers, pg, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -53,7 +53,7 @@ func (*Scheme) Name() string { return "Pochoir" }
 func (*Scheme) NUMAAware() bool { return false }
 
 // Distribute records the NUMA-ignorant serial initialization.
-func (*Scheme) Distribute(p *tiling.Problem) { tiling.TouchSerial(p) }
+func (s *Scheme) Distribute(p *tiling.Problem) { tiling.Distribute(s, p) }
 
 // zoid is a space-time trapezoid: dimension k spans
 // [x0[k] + dx0[k]·dt, x1[k] + dx1[k]·dt) at timestep t0+dt.

@@ -17,7 +17,7 @@ func MeasureCountedFor(scheme string, w Workload, machine string) (MeasureCounte
 		return nil, err
 	}
 	return func(ctx context.Context, s Setting) (CountedSample, error) {
-		out, err := execute(ctx, scheme, w, s, nustencil.RunSpec{
+		out, _, err := execute(ctx, scheme, w, s, nustencil.RunSpec{
 			Counters:     true,
 			Machine:      nustencil.MachineName(machine),
 			SamplePeriod: -1, // rates and attribution only; no sampler thread

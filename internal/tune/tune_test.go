@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"nustencil"
 )
 
 func TestSpaceSizeAndEnumeration(t *testing.T) {
@@ -179,5 +181,24 @@ func TestSchemeSpacesAndMeasurement(t *testing.T) {
 	s := Setting{"baseHeight": 4, "baseExtent": 16, "baseUnit": 64}
 	if _, err := measure(ctx, s); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled measurement returned %v, want context.Canceled", err)
+	}
+}
+
+// The timed Execute of a candidate is not its solver's first: the cold
+// run, which builds the plan, goes before it untimed, so every setting is
+// ranked by a warm run.
+func TestExecuteTimesAWarmRun(t *testing.T) {
+	w := Workload{Dims: []int{18, 18, 18}, Timesteps: 3, Workers: 2}
+	for _, scheme := range []string{"nuCATS", "nuCORALS"} {
+		out, solver, err := execute(context.Background(), scheme, w, Setting{}, nustencil.RunSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Report.Timesteps != w.Timesteps {
+			t.Errorf("%s: timed %d steps, want %d", scheme, out.Report.Timesteps, w.Timesteps)
+		}
+		if got := solver.StepsRun(); got != 2*w.Timesteps {
+			t.Errorf("%s: the solver ran %d steps in all, want the %d of a warm-up run and the timed run", scheme, got, 2*w.Timesteps)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func TestSolveCountsUpdates(t *testing.T) {
 
 func TestSolveConservesConstantField(t *testing.T) {
 	g := grid.New([]int{8, 8})
-	g.FillBoth(5)
+	g.FillFunc(func([]int) float64 { return 5 })
 	op := stencil.NewOp(stencil.NewStar(2, 1), g)
 	Solve(op, 7)
 	if v := g.At(7, []int{4, 4}); math.Abs(v-5) > 1e-12 {

@@ -288,6 +288,11 @@ type Solver struct {
 	op     *stencil.Op // built once; grid, stencil and coefficients are fixed for the solver's lifetime
 	steps  int         // timesteps already run, for buffer parity
 	plans  map[int]*plan
+	// boxes are the scheme's Phase-I placement (tiling.Placement): box w
+	// is the part of the grid worker w fills and so first-touches. placed
+	// records that the grid's page-owner model holds them.
+	boxes  []grid.Box
+	placed bool
 	// poison records the error that interrupted a run mid-plan, leaving the
 	// double buffers inconsistent. Non-nil blocks Run/Value/Export/Save
 	// until Import or Load restores a consistent state.
@@ -366,41 +371,103 @@ func NewSolver(cfg Config) (*Solver, error) {
 	} else {
 		s.op = stencil.NewOp(s.st, s.g)
 	}
+	s.boxes = tiling.Placement(sch, s.problem(0))
 	return s, nil
 }
 
+// problem is the tiling problem of a plan of timesteps steps.
+func (s *Solver) problem(timesteps int) *tiling.Problem {
+	return &tiling.Problem{
+		Grid:              s.g,
+		Stencil:           s.st,
+		Timesteps:         timesteps,
+		Workers:           s.cfg.Workers,
+		Topo:              affinity.Fixed{Cores: s.cfg.Workers, Nodes: s.cfg.NUMANodes},
+		LLCBytesPerWorker: s.cfg.LLCBytesPerWorker,
+		Periodic:          s.cfg.Periodic,
+	}
+}
+
+// fill runs part(b) for every box b of the solver's placement in one
+// engine.Each, box w on worker w (pinned with Config.PinThreads), so each
+// worker first-touches the pages it computes: Phase I of the NUMA-aware
+// schemes. It then records that page ownership in the grid's model. A
+// panic in part reaches the caller as a panic with the same value.
+func (s *Solver) fill(part func(b grid.Box)) {
+	n := len(s.boxes)
+	err := engine.Each(n, n, s.cfg.PinThreads, func(w int) int { return w }, func(w int) { part(s.boxes[w]) })
+	if err != nil {
+		if pe, ok := err.(*engine.PanicError); ok {
+			panic(pe.Value)
+		}
+		panic(err)
+	}
+	s.place()
+}
+
+// place records the page ownership of the solver's placement in the
+// grid's model, once: the boxes, and so the map, never change.
+func (s *Solver) place() {
+	if !s.placed {
+		tiling.Place(s.problem(0), s.boxes)
+		s.placed = true
+	}
+}
+
 // SetInitial initializes every cell (and the fixed boundary) from f, which
-// it calls once per cell in row-major order.
-func (s *Solver) SetInitial(f func(pt []int) float64) { s.g.FillFunc(f) }
+// it calls once per cell. Each worker fills the cells of its own part of
+// the grid (the scheme's Phase-I placement), so f may be called
+// concurrently from several goroutines, each walking its part in
+// row-major order: f must be safe for that, as a pure function of pt is.
+// f may change pt. A panic in f reaches the caller.
+func (s *Solver) SetInitial(f func(pt []int) float64) {
+	s.fill(func(b grid.Box) { s.g.FillFuncIn(b, f) })
+}
 
 // SetInitialRows is SetInitial for fills that can compute a whole row at
-// once. It calls f once per unit-stride row (the last dimension), in
-// row-major order: pt holds the coordinates of the row's first cell, so its
-// last coordinate is 0, and f sets every cell of row. f may change pt.
+// once. It calls f once per unit-stride row (the last dimension): pt holds
+// the coordinates of the row's first cell, so its last coordinate is 0,
+// and f sets every cell of row. f may change pt. A row goes to the worker
+// whose part holds its first cell; calls run concurrently as SetInitial's
+// do, each worker's rows in row-major order. Where the parts cut the rows
+// (1D grids, and interiors thinner than the worker count), that worker
+// writes the whole row, while the page-owner model still names each
+// part's own worker.
 func (s *Solver) SetInitialRows(f func(pt []int, row []float64)) {
-	s.g.TabulateRows(s.g.Buf(0), f)
-	copy(s.g.Buf(1), s.g.Buf(0))
+	last := len(s.cfg.Dims) - 1
+	s.fill(func(b grid.Box) {
+		rows := b.Clone()
+		if rows.Lo[last] == 0 {
+			rows.Hi[last] = s.g.Dim(last)
+		} else {
+			rows.Hi[last] = rows.Lo[last] // no row starts in b
+		}
+		s.g.FillRowsIn(rows, f)
+	})
 }
 
 // SetCoefficients initializes the per-cell coefficients of a banded solver:
 // f(point, pt) returns the coefficient of stencil point index point (0 is
-// the centre) at cell pt. It calls f point by point, and for each point
-// once per cell in row-major order.
+// the centre) at cell pt. It calls f once per point and cell; as in
+// SetInitial, each worker sets its own part of the grid, point by point
+// and for each point in row-major order, concurrently with the others.
 func (s *Solver) SetCoefficients(f func(point int, pt []int) float64) error {
 	if s.coeffs == nil {
 		return errors.New("nustencil: SetCoefficients requires Config.Banded")
 	}
-	for p, band := range s.coeffs.Data {
-		s.g.Tabulate(band, func(pt []int) float64 { return f(p, pt) })
-	}
+	s.fill(func(b grid.Box) {
+		for p, band := range s.coeffs.Data {
+			s.g.Tabulate(band, b, func(pt []int) float64 { return f(p, pt) })
+		}
+	})
 	return nil
 }
 
 // SetSource attaches a per-cell additive term g(pt) to every update:
 // X' = stencil(X) + g. With weighted-Jacobi coefficients this solves the
 // inhomogeneous system A·u = f (set g = ω·D⁻¹·f), which is what multigrid
-// correction equations and source-driven diffusion need. A nil f removes
-// the term.
+// correction equations and source-driven diffusion need. It calls f once
+// per cell, concurrently as SetInitial does. A nil f removes the term.
 func (s *Solver) SetSource(f func(pt []int) float64) {
 	if f == nil {
 		s.source = nil
@@ -409,7 +476,7 @@ func (s *Solver) SetSource(f func(pt []int) float64) {
 	if s.source == nil {
 		s.source = make([]float64, s.g.Len())
 	}
-	s.g.Tabulate(s.source, f)
+	s.fill(func(b grid.Box) { s.g.Tabulate(s.source, b, f) })
 }
 
 // Value returns the current value at pt (after any completed Run calls).
@@ -444,14 +511,20 @@ func (s *Solver) Export(dst []float64) []float64 {
 
 // Import replaces the current state (both buffers, so the fixed boundary is
 // consistent for the next Run) with src, which must hold exactly Len flat
-// row-major values. Because it rewrites both buffers wholesale, Import
+// row-major values. Each worker copies its own part of the grid, as
+// SetInitial fills it. Because it rewrites both buffers wholesale, Import
 // restores a poisoned solver (see ErrPoisoned) to a usable state.
 func (s *Solver) Import(src []float64) error {
 	if len(src) != s.g.Len() {
 		return fmt.Errorf("nustencil: Import needs %d values, got %d", s.g.Len(), len(src))
 	}
-	copy(s.g.Buf(0), src)
-	copy(s.g.Buf(1), src)
+	b0, b1 := s.g.Buf(0), s.g.Buf(1)
+	s.fill(func(b grid.Box) {
+		s.g.ForEachRow(b, func(off, n int, _ []int) {
+			copy(b0[off:off+n], src[off:off+n])
+			copy(b1[off:off+n], src[off:off+n])
+		})
+	})
 	s.poison = nil
 	return nil
 }
@@ -509,16 +582,10 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 	}
 	pl := s.plans[timesteps]
 	if pl == nil {
-		p := &tiling.Problem{
-			Grid:              s.g,
-			Stencil:           s.st,
-			Timesteps:         timesteps,
-			Workers:           cfg.Workers,
-			Topo:              affinity.Fixed{Cores: cfg.Workers, Nodes: cfg.NUMANodes},
-			LLCBytesPerWorker: cfg.LLCBytesPerWorker,
-			Periodic:          cfg.Periodic,
-		}
-		s.scheme.Distribute(p)
+		p := s.problem(timesteps)
+		// A grid no fill has placed yet is placed by this first run, as
+		// the scheme's Distribute places it.
+		s.place()
 		tiles, err := s.scheme.Tiles(p)
 		if err != nil {
 			return rep, nil, nil, err

@@ -74,8 +74,9 @@ func TestAllSchemesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		idx := 0
-		s.SetInitial(func(pt []int) float64 { v := init[idx]; idx++; return v })
+		// The fill may call f concurrently, so each cell looks its value up
+		// by its own coordinates.
+		s.SetInitial(func(pt []int) float64 { return init[(pt[0]*12+pt[1])*12+pt[2]] })
 		rep, err := s.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
