@@ -16,6 +16,7 @@ package nustencil
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nustencil/internal/ablation"
@@ -43,11 +44,11 @@ func benchFigure(b *testing.B, id string, captionLines ...string) {
 		d = f.Run()
 	}
 	for _, label := range captionLines {
-		v, ok := d.Caption(label)
-		if !ok {
+		i := slices.IndexFunc(d.Figure.Lines, func(ln experiments.Line) bool { return ln.Label == label })
+		if i < 0 {
 			b.Fatalf("%s: no line %q", id, label)
 		}
-		b.ReportMetric(v, "GFLOPS:"+shorten(label))
+		b.ReportMetric(d.CaptionGFLOPS[i], "GFLOPS:"+shorten(label))
 	}
 }
 

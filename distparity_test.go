@@ -129,7 +129,7 @@ func TestDistributedMigrationParity(t *testing.T) {
 	if out.Report.Updates == 0 {
 		t.Fatalf("no updates reported")
 	}
-	if out.Report.Migrations == 0 {
+	if out.Report.Dist.Migrations == 0 {
 		t.Fatalf("CHANGELOAD hotspot produced no migrations")
 	}
 	got := migrated.Export(nil)

@@ -48,11 +48,10 @@ func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (
 	}
 	// A traced run gets a multi-process trace: one pid per rank, one tid
 	// per chare, halo flow arrows, migration/AtSync instants, per-rank
-	// counter tracks. The runtime buffers records in single-writer shards
-	// and folds them into dtr once at Run exit.
+	// counter tracks, each recorded by the worker that observes it.
 	var dtr *trace.Trace
 	if spec.Trace {
-		dtr = trace.New()
+		dtr = trace.New(workers)
 		opts.Trace = dtr
 	}
 	if s.distTune != nil {
@@ -108,7 +107,6 @@ func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (
 	rep.Imbalance = engine.Imbalance(res.BusyPerWorker)
 	rep.Utilization = utilization(res.BusyPerWorker, rep.Seconds)
 	rep.Kernel = s.op.Kernel()
-	rep.Migrations = res.Migrations
 	rep.Dist = &DistStats{
 		Ranks:          cfg.Ranks,
 		Chares:         res.Chares,
@@ -122,7 +120,7 @@ func (s *Solver) runDistributed(ctx context.Context, spec RunSpec, rep Report) (
 
 	var tw *Trace
 	if dtr != nil {
-		tw = &Trace{tr: dtr, workers: workers}
+		tw = &Trace{tr: dtr}
 	}
 
 	var pc *PerfCounters

@@ -331,7 +331,7 @@ func TestMigrationBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Migrations == 0 {
+	if res.Net.Migrations == 0 {
 		t.Fatalf("expected forced migrations, got none")
 	}
 	if res.Net.MigrationBytes == 0 {

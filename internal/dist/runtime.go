@@ -67,10 +67,11 @@ type Options struct {
 	// concurrently.
 	OnExec func(worker int, updates int64, d time.Duration)
 	// Trace, when set, collects the distributed timeline: per-rank
-	// processes, per-chare spans, halo flow arrows, migration/AtSync
-	// instants, and per-rank counter tracks. Records are buffered in
-	// single-writer shards during the run and folded into Trace once at
-	// Run exit (success only); nil adds no work to the hot path.
+	// processes (pid rank+1), per-chare threads and spans (tid chare id),
+	// halo flow arrows, migration/AtSync instants, and per-rank counter
+	// tracks. It must have one shard per worker (Ranks × WorkersPerRank):
+	// each worker appends to its own shard as it runs, the Run loop to
+	// shard 0 between engine.Runs. Nil adds no work to the hot path.
 	Trace *trace.Trace
 }
 
@@ -83,8 +84,7 @@ type Result struct {
 	Workers          int
 	UpdatesPerWorker []int64
 	BusyPerWorker    []time.Duration
-	Migrations       int64
-	// Net is the transport's inter-rank traffic.
+	// Net is the transport's inter-rank traffic and chare migrations.
 	Net Stats
 }
 
@@ -242,12 +242,9 @@ type Runtime struct {
 	ran bool // Run has been called
 	// winT0 is the first step of the engine.Run in flight, written only
 	// between runs.
-	winT0      int
-	migrations int64
+	winT0 int
 
-	// tc is the trace record buffer (nil when Options.Trace is unset);
 	// barrierWait is written only by the Run loop.
-	tc          *tracer
 	barrierWait histo.Hist
 }
 
@@ -273,6 +270,9 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 		return nil, fmt.Errorf("dist: grid %v has no interior at order %d", prob.Grid.Dims(), order)
 	}
 	workers := opts.Ranks * opts.WorkersPerRank
+	if opts.Trace != nil && opts.Trace.Workers() != workers {
+		return nil, fmt.Errorf("dist: trace has %d worker shards, the run %d workers", opts.Trace.Workers(), workers)
+	}
 	rt := &Runtime{
 		prob:  prob,
 		opts:  opts,
@@ -299,8 +299,13 @@ func New(prob Problem, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: scatter: %w", err)
 	}
-	if opts.Trace != nil {
-		rt.tc = newTracer(n, prob.Grid.NumDims(), workers)
+	if tr := opts.Trace; tr != nil {
+		for r := 0; r < opts.Ranks; r++ {
+			tr.SetProcessName(r+1, fmt.Sprintf("rank %d", r))
+		}
+		for c, r := range rt.chareRank {
+			tr.SetThreadName(int(r)+1, c, fmt.Sprintf("chare %d", c))
+		}
 	}
 	return rt, nil
 }
@@ -431,7 +436,6 @@ func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
 		Workers:          len(rt.busy),
 		UpdatesPerWorker: updates,
 		BusyPerWorker:    slices.Clone(rt.busy),
-		Migrations:       rt.migrations,
 		Net:              rt.tr.Stats(),
 	}
 	for _, n := range updates {
@@ -441,9 +445,6 @@ func (rt *Runtime) Run(ctx context.Context, timesteps int) (Result, error) {
 		res.Net.HaloLatency.Merge(&rt.ranks[r].haloLat)
 	}
 	res.Net.BarrierWait = rt.barrierWait
-	if rt.tc != nil {
-		rt.tc.fold(rt.opts.Trace, rt.opts.Ranks)
-	}
 	return res, nil
 }
 
@@ -479,7 +480,7 @@ func (rt *Runtime) segment(ctx context.Context, t0, t1 int, updates []int64) err
 	segEnd := time.Now()
 	wpr := rt.opts.WorkersPerRank
 	for r := range rt.ranks {
-		rt.drain(r, rt.shard(r*wpr))
+		rt.drain(r, 0)
 	}
 	if err != nil {
 		return err
@@ -487,11 +488,8 @@ func (rt *Runtime) segment(ctx context.Context, t0, t1 int, updates []int64) err
 	for r := range rt.ranks {
 		last := slices.MaxFunc(rt.end[r*wpr:(r+1)*wpr], time.Time.Compare)
 		rt.barrierWait.Observe(segEnd.Sub(last))
-		if rt.tc != nil && t1 < rt.T {
-			rt.tc.instants = append(rt.tc.instants, instantRec{
-				name: "AtSync", rank: r, at: last,
-				args: map[string]any{"step": t1},
-			})
+		if tr := rt.opts.Trace; tr != nil && t1 < rt.T {
+			tr.AddInstant(0, "AtSync", r+1, 0, last, map[string]any{"step": t1})
 		}
 	}
 	return nil
@@ -556,8 +554,7 @@ func (rt *Runtime) plan(steps int) ([]*spacetime.Tile, [][]int) {
 func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
 	c, t := rt.chares[tile.ID%len(rt.chares)], rt.winT0+tile.T0
 	r := int(rt.chareRank[c.id])
-	sh := rt.shard(w)
-	rt.drain(r, sh)
+	rt.drain(r, w)
 
 	start := time.Now()
 	n := c.op.ApplyBox(c.ownedLocal, t)
@@ -570,13 +567,14 @@ func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
 	if rt.opts.OnExec != nil {
 		rt.opts.OnExec(w, n, d)
 	}
-	if sh != nil {
-		sh.spans = append(sh.spans, spanRec{
-			chare: c.id, step: t, rank: r, updates: n, start: start, d: d,
-		})
+	if tr := rt.opts.Trace; tr != nil {
+		tr.Record(w, trace.Event{
+			Pid: r + 1, Tid: c.id, Name: fmt.Sprintf("chare %d step %d", c.id, t),
+			TileID: c.id, T0: t, T1: t + 1, Updates: n,
+		}, start, start.Add(d))
 	}
 	if t+1 < rt.T {
-		rt.push(c, r, t+1, sh)
+		rt.push(w, c, r, t+1)
 	}
 	c.worker = w
 	rt.end[w] = time.Now()
@@ -588,8 +586,9 @@ func (rt *Runtime) exec(w int, tile *spacetime.Tile) int64 {
 // That is safe while the neighbor runs step t−1: ghost and owned cells
 // are disjoint, and step t−1 reads the other parity. Any other neighbor's
 // halo is packed into the face's payload buffer of t's parity and goes
-// through the transport to the neighbor's rank.
-func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
+// through the transport to the neighbor's rank. Worker w records the
+// send end of its flow arrow.
+func (rt *Runtime) push(w int, c *chare, r, t int) {
 	parity := t & 1
 	src := c.g.Buf(parity)
 	for i := range c.faces {
@@ -605,11 +604,9 @@ func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
 		}
 		data := f.pack(src, parity)
 		sentAt := time.Now()
-		if sh != nil {
-			sh.flows = append(sh.flows, flowRec{
-				destChare: f.nb, dim: f.dim, side: -f.side, step: t,
-				tid: c.id, rank: r, at: sentAt,
-			})
+		if tr := rt.opts.Trace; tr != nil {
+			id, name := rt.haloFlow(f.nb, f.dim, -f.side, t)
+			tr.FlowStart(w, id, name, r+1, c.id, sentAt)
 		}
 		rt.tr.Send(Msg{
 			To: dest, Chare: f.nb, Step: t,
@@ -619,16 +616,16 @@ func (rt *Runtime) push(c *chare, r, t int, sh *workerShard) {
 	}
 }
 
-// drain applies every halo queued for rank r, recording into sh (nil
-// when untraced). A chare-step drains before it runs, and every halo it
-// reads was sent by a step that completed before it became ready, so
-// that halo is in the mailbox or already dequeued. The rank's lock,
-// held from the first Recv to the last apply, covers the second case: a
-// worker that finds the mailbox empty while another worker of the rank
-// has dequeued its halo waits here until that halo is applied. A halo
-// for a chare that is still running its previous step is applied at once,
-// safe for the reason push gives.
-func (rt *Runtime) drain(r int, sh *workerShard) {
+// drain applies every halo queued for rank r, recording its flow
+// finishes and mailbox samples on worker w's trace shard. A chare-step
+// drains before it runs, and every halo it reads was sent by a step that
+// completed before it became ready, so that halo is in the mailbox or
+// already dequeued. The rank's lock, held from the first Recv to the last
+// apply, covers the second case: a worker that finds the mailbox empty
+// while another worker of the rank has dequeued its halo waits here until
+// that halo is applied. A halo for a chare that is still running its
+// previous step is applied at once, safe for the reason push gives.
+func (rt *Runtime) drain(r, w int) {
 	rk := &rt.ranks[r]
 	rk.mu.Lock()
 	defer rk.mu.Unlock()
@@ -643,33 +640,38 @@ func (rt *Runtime) drain(r int, sh *workerShard) {
 		if !m.SentAt.IsZero() {
 			rk.haloLat.Observe(now.Sub(m.SentAt))
 		}
-		if sh == nil {
+		tr := rt.opts.Trace
+		if tr == nil {
 			continue
 		}
-		sh.finishes = append(sh.finishes, flowRec{
-			destChare: m.Chare, dim: m.Dim, side: m.Side, step: m.Step,
-			tid: m.Chare, rank: r, at: now,
-		})
+		id, name := rt.haloFlow(m.Chare, m.Dim, m.Side, m.Step)
+		tr.FlowFinish(w, id, name, r+1, m.Chare, now)
 		if rt.depth != nil {
 			msgs, bytes := rt.depth.Depth(r)
-			sh.samples = append(sh.samples, depthRec{rank: r, at: now, msgs: msgs, bytes: bytes})
+			tr.AddCounter(w, r+1, "mailbox depth", now, float64(msgs))
+			tr.AddCounter(w, r+1, "halo bytes in flight", now, float64(bytes))
 		}
 	}
 }
 
-// shard returns worker w's trace buffer, nil when untraced.
-func (rt *Runtime) shard(w int) *workerShard {
-	if rt.tc == nil {
-		return nil
+// haloFlow names the flow arrow of the halo for chare dest's ghost face
+// (dim, side) that step t reads. Each (t, dest, dim, side) names at most
+// one message per run, so the id pairs its send and receive exactly.
+func (rt *Runtime) haloFlow(dest, dim, side, t int) (id uint64, name string) {
+	sideBit := 0
+	if side > 0 {
+		sideBit = 1
 	}
-	return &rt.tc.shards[w]
+	id = uint64((((t*len(rt.chares))+dest)*rt.prob.Grid.NumDims()+dim)*2 + sideBit)
+	return id, fmt.Sprintf("halo→c%d d%d t%d", dest, dim, t)
 }
 
 // sampleResident records one "chares resident" sample per rank from the
 // current ownership map. Called only from the Run loop at quiesced
 // segment boundaries.
 func (rt *Runtime) sampleResident() {
-	if rt.tc == nil {
+	tr := rt.opts.Trace
+	if tr == nil {
 		return
 	}
 	now := time.Now()
@@ -678,7 +680,7 @@ func (rt *Runtime) sampleResident() {
 		counts[rk]++
 	}
 	for i, n := range counts {
-		rt.tc.resident = append(rt.tc.resident, residentRec{rank: i, at: now, n: n})
+		tr.AddCounter(0, i+1, "chares resident", now, float64(n))
 	}
 }
 
@@ -702,8 +704,9 @@ func (rt *Runtime) gather() error {
 
 // rebalance runs the balancer on the last segment's measured per-chare
 // execution times and applies its moves, accounting each migrated
-// chare's state bytes to the transport. Runs only at segment barriers,
-// when every rank is quiesced and no message is in flight.
+// chare's state bytes to the transport and naming the chare's thread on
+// its new rank in the trace. Runs only at segment barriers, when every
+// rank is quiesced and no message is in flight.
 func (rt *Runtime) rebalance() {
 	load := make([]float64, len(rt.chares))
 	cur := make([]int, len(rt.chares))
@@ -726,15 +729,12 @@ func (rt *Runtime) rebalance() {
 		}
 		bytes := rt.chares[mv.Chare].stateBytes()
 		rt.tr.CountMigration(from, mv.To, bytes)
-		if rt.tc != nil {
-			rt.tc.instants = append(rt.tc.instants, instantRec{
-				name: fmt.Sprintf("migrate chare %d", mv.Chare),
-				rank: from, tid: mv.Chare, at: time.Now(),
-				args: map[string]any{"from": from, "to": mv.To, "bytes": bytes},
-			})
+		if tr := rt.opts.Trace; tr != nil {
+			tr.AddInstant(0, fmt.Sprintf("migrate chare %d", mv.Chare), from+1, mv.Chare, time.Now(),
+				map[string]any{"from": from, "to": mv.To, "bytes": bytes})
+			tr.SetThreadName(mv.To+1, mv.Chare, fmt.Sprintf("chare %d", mv.Chare))
 		}
 		rt.chareRank[mv.Chare] = int32(mv.To)
-		rt.migrations++
 	}
 }
 

@@ -89,7 +89,7 @@ type Transport interface {
 }
 
 // DepthReporter is an optional Transport extension reporting a rank's
-// current mailbox backlog. The tracer samples it after each drained halo to
+// current mailbox backlog. A traced run samples it after each drained halo to
 // render the per-rank "mailbox depth" and "halo bytes in flight" counter
 // tracks; transports that cannot observe their queues simply don't
 // implement it and the tracks are omitted.

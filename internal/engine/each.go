@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"runtime/debug"
-
-	"nustencil/internal/spacetime"
-)
+import "nustencil/internal/spacetime"
 
 // Each calls f(i) for every i in [0, n) in one Run of n independent tiles
 // on workers workers: tile i runs on worker owner(i) % workers (owner(i)
@@ -12,16 +8,10 @@ import (
 // thread and pinned to CPU w, as Run pins its workers. A loop over
 // per-worker parts of the data (a first-touch fill, a scatter or a gather)
 // thus runs each part on the worker, and the CPU, that computes it later.
-// Calls with one owner run in increasing i. A panic in f returns as a
-// *PanicError naming tile i. One unpinned worker is the caller itself:
-// handing the loop to a worker goroutine costs a served 34³ job its
-// start-up and its wait to be scheduled behind the server's other
-// goroutines, and, when another core runs it, the cache misses of the
-// grid the caller has just zeroed.
+// Calls with one owner run in increasing i, and one unpinned worker is
+// the caller itself, as in Run. A panic in f returns as a *PanicError
+// naming tile i.
 func Each(n, workers int, pin bool, owner func(i int) int, f func(i int)) error {
-	if workers == 1 && !pin {
-		return eachInline(n, f)
-	}
 	backing := make([]spacetime.Tile, n)
 	tiles := make([]*spacetime.Tile, n)
 	for i := range backing {
@@ -38,18 +28,4 @@ func Each(n, workers int, pin bool, owner func(i int) int, f func(i int)) error 
 		},
 	})
 	return err
-}
-
-// eachInline is Each's one unpinned worker, run on the caller's goroutine.
-func eachInline(n int, f func(i int)) (err error) {
-	i := 0
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Tile: i, Worker: 0, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	for ; i < n; i++ {
-		f(i)
-	}
-	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"nustencil/internal/engine"
+	"nustencil/internal/grid"
+	"nustencil/internal/spacetime"
 )
 
 // goid returns the calling goroutine's id, read from the header of its
@@ -96,6 +98,28 @@ func TestEachRunsEveryTileOnItsOwner(t *testing.T) {
 	}
 	if calls, err := runEach(0, 2, false, owner); err != nil || len(calls) != 0 {
 		t.Fatalf("no tiles: %d calls, %v", len(calls), err)
+	}
+}
+
+// A one-worker unpinned Run calls Exec on the caller's goroutine, for
+// every tile of a dependent chain.
+func TestOneUnpinnedWorkerRunsOnCaller(t *testing.T) {
+	const steps = 5
+	in := grid.NewBox([]int{0}, []int{16})
+	var tiles []*spacetime.Tile
+	for s := 0; s < steps; s++ {
+		tiles = append(tiles, spacetime.NewTileFromBox(in, s, 1, in))
+	}
+	caller, ran := goid(), 0
+	_, err := engine.Run(tiles, engine.Config{Workers: 1, Order: 1, Exec: func(_ int, tile *spacetime.Tile) int64 {
+		if g := goid(); g != caller {
+			t.Errorf("tile %d ran on goroutine %d, not the caller's %d", tile.ID, g, caller)
+		}
+		ran++
+		return 0
+	}})
+	if err != nil || ran != steps {
+		t.Fatalf("ran %d of %d tiles: %v", ran, steps, err)
 	}
 }
 

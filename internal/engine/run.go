@@ -47,9 +47,10 @@ type Config struct {
 	Pin bool
 	// Scheme, when non-empty, names the tiling scheme for observability:
 	// workers run under runtime/pprof labels (scheme=<Scheme>, worker=<w>)
-	// so CPU profiles attribute samples per scheme and per worker. Labels
-	// are applied once at worker startup — the per-tile hot path is
-	// unaffected.
+	// added to Ctx's, so CPU profiles attribute samples per scheme and per
+	// worker, and a worker on the caller's goroutine hands it back with
+	// Ctx's labels. Labels are applied once at worker startup — the
+	// per-tile hot path is unaffected.
 	Scheme string
 	// Ctx, when non-nil, bounds the run: once it is cancelled or its
 	// deadline passes, workers stop claiming tiles (parked workers are
@@ -223,6 +224,11 @@ func (st *runState) fail(to int32) bool {
 // if the context is cancelled mid-run and a *PanicError if any Exec
 // panics. On those errors the grid may be partially updated — it is the
 // caller's job to treat the state as unusable (see Solver poisoning).
+// One unpinned worker is the caller itself: handing a short run (a
+// served 34³ job, a first-touch fill) to a worker goroutine costs its
+// start-up and its wait to be scheduled behind the caller's other
+// goroutines, and, when another core runs it, the cache misses of the
+// data the caller has just touched.
 func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	stats, err := newStats(cfg)
 	if err != nil {
@@ -268,24 +274,35 @@ func Run(tiles []*spacetime.Tile, cfg Config) (*Stats, error) {
 	stopWatch := st.watchCtx(cfg.Ctx)
 	stopSampler := st.startSampler(cfg)
 
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if cfg.Pin {
-				// Never unlocked: a goroutine that exits locked ends its
-				// thread, where an unlocked one would hand the thread,
-				// still pinned to CPU w, to whatever goroutine runs next.
-				runtime.LockOSThread()
-				_ = affinity.PinCurrentThread(w)
-			}
-			pprof.Do(context.Background(), workerLabels(cfg.Scheme, w), func(context.Context) {
-				st.worker(w, cfg, stats)
-			})
-		}(w)
+	labels := cfg.Ctx
+	if labels == nil {
+		labels = context.Background()
 	}
-	wg.Wait()
+	work := func(w int) {
+		pprof.Do(labels, workerLabels(cfg.Scheme, w), func(context.Context) {
+			st.worker(w, cfg, stats)
+		})
+	}
+	if cfg.Workers == 1 && !cfg.Pin {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < cfg.Workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if cfg.Pin {
+					// Never unlocked: a goroutine that exits locked ends its
+					// thread, where an unlocked one would hand the thread,
+					// still pinned to CPU w, to whatever goroutine runs next.
+					runtime.LockOSThread()
+					_ = affinity.PinCurrentThread(w)
+				}
+				work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	stopSampler()
 	stopWatch()
 	return stats.result(st.status.Load(), cfg, st.panicErr)

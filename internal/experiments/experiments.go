@@ -172,16 +172,6 @@ func (d *Data) Value(label string, n int) (float64, bool) {
 	return 0, false
 }
 
-// Caption returns the full-machine aggregate GFLOPS for a line label.
-func (d *Data) Caption(label string) (float64, bool) {
-	for i, ln := range d.Figure.Lines {
-		if ln.Label == label {
-			return d.CaptionGFLOPS[i], true
-		}
-	}
-	return 0, false
-}
-
 func boundGupdates(m *machine.Machine, st *stencil.Stencil, bound string, n int) float64 {
 	switch bound {
 	case "PeakDP":

@@ -228,10 +228,12 @@ func TestFig3Shape(t *testing.T) {
 // GFLOPS stay within the calibration bands of the cost model tests.
 func TestCaptionsPresent(t *testing.T) {
 	d := runFig(t, "fig05")
-	for _, ln := range d.Figure.Lines {
-		v, ok := d.Caption(ln.Label)
-		if !ok || v <= 0 {
-			t.Errorf("fig05 caption for %s missing (%v, %v)", ln.Label, v, ok)
+	if len(d.CaptionGFLOPS) != len(d.Figure.Lines) {
+		t.Fatalf("fig05 has %d captions for %d lines", len(d.CaptionGFLOPS), len(d.Figure.Lines))
+	}
+	for i, ln := range d.Figure.Lines {
+		if v := d.CaptionGFLOPS[i]; v <= 0 {
+			t.Errorf("fig05 caption for %s missing (%v)", ln.Label, v)
 		}
 	}
 	if strings.ToUpper(d.Figure.ID) != "FIG05" {

@@ -264,18 +264,6 @@ func (b Box) SplitAt(k, c int) (lo, hi Box) {
 	return lo, hi
 }
 
-// LongestDim returns the dimension with the largest extent, preferring the
-// lowest index on ties.
-func (b Box) LongestDim() int {
-	best, bestExt := 0, b.Extent(0)
-	for k := 1; k < len(b.Lo); k++ {
-		if e := b.Extent(k); e > bestExt {
-			best, bestExt = k, e
-		}
-	}
-	return best
-}
-
 // String renders the box as [lo0,hi0)x[lo1,hi1)x...
 func (b Box) String() string {
 	var sb strings.Builder

@@ -113,15 +113,6 @@ func TestBoxSplitAt(t *testing.T) {
 	}
 }
 
-func TestBoxLongestDim(t *testing.T) {
-	if d := NewBox([]int{0, 0, 0}, []int{3, 9, 9}).LongestDim(); d != 1 {
-		t.Errorf("LongestDim = %d, want 1 (tie prefers lower)", d)
-	}
-	if d := NewBox([]int{0, 0, 0}, []int{3, 4, 9}).LongestDim(); d != 2 {
-		t.Errorf("LongestDim = %d, want 2", d)
-	}
-}
-
 func randBox(r *rand.Rand, nd, span int) Box {
 	lo := make([]int, nd)
 	hi := make([]int, nd)

@@ -27,40 +27,6 @@ type RowIter struct {
 	state   int8 // 0 before first row, 1 iterating, 2 exhausted
 }
 
-// Rows returns a row iterator over box b clipped to the grid bounds. b must
-// have the grid's dimensionality, at most MaxRowDims.
-func (g *Grid) Rows(b Box) RowIter {
-	nd := len(g.dims)
-	if nd > MaxRowDims {
-		panic("grid: Rows supports at most MaxRowDims dimensions")
-	}
-	if b.NumDims() != nd {
-		panic("grid: Rows dimension mismatch")
-	}
-	var it RowIter
-	it.nd = nd
-	off := 0
-	for k := 0; k < nd; k++ {
-		lo, hi := b.Lo[k], b.Hi[k]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > g.dims[k] {
-			hi = g.dims[k]
-		}
-		if hi <= lo {
-			it.state = 2
-			return it
-		}
-		it.strides[k] = g.strides[k]
-		it.lo[k], it.hi[k], it.pt[k] = lo, hi, lo
-		off += lo * g.strides[k]
-	}
-	it.off = off
-	it.length = it.hi[nd-1] - it.lo[nd-1]
-	return it
-}
-
 // RowsIn returns a row iterator over the intersection of b and clip,
 // computed without allocating. Both boxes must have the grid's
 // dimensionality, at most MaxRowDims.

@@ -137,7 +137,7 @@ func TestRowIterNoAllocs(t *testing.T) {
 	b := g.Interior(1)
 	allocs := testing.AllocsPerRun(20, func() {
 		sum := 0
-		for it := g.Rows(b); it.Next(); {
+		for it := g.RowsIn(b, b); it.Next(); {
 			sum += it.Length()
 		}
 		if sum == 0 {

@@ -214,12 +214,6 @@ func (m *Machine) LLCBandwidth(n int) float64 {
 	return m.LLC().AggBandwidth * float64(clamp(n, 1, m.NumCores())) / float64(m.NumCores())
 }
 
-// CacheBandwidth returns the aggregate bandwidth of cache level i for n
-// cores (linear scaling).
-func (m *Machine) CacheBandwidth(i, n int) float64 {
-	return m.Caches[i].AggBandwidth * float64(clamp(n, 1, m.NumCores())) / float64(m.NumCores())
-}
-
 // PeakDP returns the aggregate double-precision peak in GFLOPS for n cores
 // (linear scaling).
 func (m *Machine) PeakDP(n int) float64 {

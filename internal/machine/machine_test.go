@@ -113,7 +113,7 @@ func TestCacheBandwidthLinear(t *testing.T) {
 	if math.Abs(b32-588.6) > 1e-9 {
 		t.Errorf("Xeon LLC agg = %v", b32)
 	}
-	if got := xe.CacheBandwidth(0, 32); math.Abs(got-819.1) > 1e-9 {
+	if got := xe.Caches[0].AggBandwidth; math.Abs(got-819.1) > 1e-9 {
 		t.Errorf("Xeon L1 agg = %v", got)
 	}
 }

@@ -53,23 +53,6 @@ func (p Pgram) CrossSectionInto(t int, dst grid.Box) grid.Box {
 	return dst
 }
 
-// SpatialExtent returns the extent of the base box in dimension k (constant
-// across timesteps, since slopes translate without resizing).
-func (p Pgram) SpatialExtent(k int) int { return p.Base.Extent(k) }
-
-// LongestDim returns the dimension with the largest extent in the space-time
-// sense used by CORALS' recursion: spatial dimensions by base extent, and
-// time by Height. It returns (dim, extent) with dim == -1 meaning time.
-func (p Pgram) LongestDim() (dim, extent int) {
-	dim, extent = -1, p.Height
-	for k := 0; k < p.Base.NumDims(); k++ {
-		if e := p.Base.Extent(k); e > extent {
-			dim, extent = k, e
-		}
-	}
-	return dim, extent
-}
-
 // SplitTime cuts the parallelogram into a lower half [T0, T0+h) and an upper
 // half [T0+h, T1); the upper half's base is the lower's cross-section at the
 // cut. h is clamped to [0, Height].
@@ -95,9 +78,6 @@ func (p Pgram) SplitSpace(k, c int) (lo, hi Pgram) {
 
 // Empty reports whether the parallelogram covers no space-time points.
 func (p Pgram) Empty() bool { return p.Height <= 0 || p.Base.Empty() }
-
-// Volume returns base size × height (unclipped point count).
-func (p Pgram) Volume() int64 { return p.Base.Size() * int64(p.Height) }
 
 func (p Pgram) String() string {
 	return fmt.Sprintf("Pgram{t=[%d,%d) base=%v slope=%v}", p.T0, p.T1(), p.Base, p.Slope)

@@ -66,17 +66,6 @@ func TestPgramSplitSpace(t *testing.T) {
 	}
 }
 
-func TestPgramLongestDim(t *testing.T) {
-	p := NewPgram(0, 10, b2(0, 0, 4, 6), []int{0, 0})
-	if d, e := p.LongestDim(); d != -1 || e != 10 {
-		t.Errorf("LongestDim = %d,%d want time", d, e)
-	}
-	p2 := NewPgram(0, 3, b2(0, 0, 9, 6), []int{0, 0})
-	if d, e := p2.LongestDim(); d != 0 || e != 9 {
-		t.Errorf("LongestDim = %d,%d want dim0", d, e)
-	}
-}
-
 func TestTileFromPgramClipsToInterior(t *testing.T) {
 	interior := b1(1, 21)
 	// Right-skewed slab drifting past the right edge.
@@ -100,8 +89,8 @@ func TestTileUpdatesAndBBox(t *testing.T) {
 	if got := tile.Updates(); got != 30 {
 		t.Errorf("updates = %d", got)
 	}
-	if !tile.BBox().Equal(b1(6, 20)) {
-		t.Errorf("bbox = %v", tile.BBox())
+	if bb := tile.BBoxInto(grid.MakeBox(1)); !bb.Equal(b1(6, 20)) {
+		t.Errorf("bbox = %v", bb)
 	}
 }
 
@@ -112,41 +101,6 @@ func TestTileAtOutsideRange(t *testing.T) {
 	}
 	if tile.At(2).Empty() {
 		t.Error("At inside range should be non-empty")
-	}
-}
-
-func TestDependsOn(t *testing.T) {
-	clip := b1(0, 100)
-	a := NewTileFromBox(b1(0, 10), 0, 1, clip)  // t=0, cells [0,10)
-	b := NewTileFromBox(b1(10, 20), 1, 1, clip) // t=1, cells [10,20)
-	// b reads cells [9,21) at t=0 for s=1, so b depends on a.
-	if !b.DependsOn(a, 1) {
-		t.Error("b should depend on a")
-	}
-	if a.DependsOn(b, 1) {
-		t.Error("a must not depend on b (time order)")
-	}
-	// A far-away tile does not create a dependency.
-	c := NewTileFromBox(b1(50, 60), 1, 1, clip)
-	if c.DependsOn(a, 1) {
-		t.Error("c should not depend on a")
-	}
-	// Higher order reaches further.
-	d := NewTileFromBox(b1(12, 20), 1, 1, clip)
-	if d.DependsOn(a, 2) {
-		t.Error("d's nearest read for s=2 is cell 10 ∉ [0,10)")
-	}
-	if !d.DependsOn(a, 3) {
-		t.Error("d should depend for s=3 (reads cell 9)")
-	}
-}
-
-func TestDependsOnSameTimestepNever(t *testing.T) {
-	clip := b1(0, 100)
-	a := NewTileFromBox(b1(0, 10), 0, 1, clip)
-	b := NewTileFromBox(b1(10, 20), 0, 1, clip)
-	if a.DependsOn(b, 3) || b.DependsOn(a, 3) {
-		t.Error("same-timestep tiles have no flow dependency")
 	}
 }
 

@@ -94,35 +94,6 @@ func (t *Tile) Updates() int64 {
 // Empty reports whether the tile performs no updates.
 func (t *Tile) Empty() bool { return t.Updates() == 0 }
 
-// BBox returns the spatial bounding box over all cross-sections. If the tile
-// is empty it returns an empty box.
-func (t *Tile) BBox() grid.Box {
-	var bb grid.Box
-	first := true
-	for _, c := range t.Cross {
-		if c.Empty() {
-			continue
-		}
-		if first {
-			bb = c.Clone()
-			first = false
-			continue
-		}
-		for k := range bb.Lo {
-			if c.Lo[k] < bb.Lo[k] {
-				bb.Lo[k] = c.Lo[k]
-			}
-			if c.Hi[k] > bb.Hi[k] {
-				bb.Hi[k] = c.Hi[k]
-			}
-		}
-	}
-	if first {
-		return grid.MakeBox(t.NumDims())
-	}
-	return bb
-}
-
 // BBoxInto writes the spatial bounding box over all cross-sections into dst
 // (which must have the tile's dimensionality) and returns dst, without
 // allocating. If the tile is empty, dst is zeroed.
@@ -228,33 +199,6 @@ func (t *Tile) Subtract(p Pgram, k int) *Tile {
 		out.Cross[i] = r
 	}
 	return out
-}
-
-// DependsOn reports whether tile t flow-depends on tile v for a stencil of
-// order s: some point of t at timestep ts reads a value that v produces at
-// ts-1 (i.e. t's cross-section at ts, grown by s, intersects v's
-// cross-section at ts-1). A tile never depends on itself by this relation's
-// use in the engine (in-tile ordering handles internal dependencies).
-func (t *Tile) DependsOn(v *Tile, s int) bool {
-	// Overlapping timestep pairs: ts in [max(t.T0, v.T0+1), min(t.T1, v.T1+1)).
-	lo := t.T0
-	if v.T0+1 > lo {
-		lo = v.T0 + 1
-	}
-	hi := t.T1()
-	if v.T1()+1 < hi {
-		hi = v.T1() + 1
-	}
-	for ts := lo; ts < hi; ts++ {
-		a := t.At(ts)
-		if a.Empty() {
-			continue
-		}
-		if a.IntersectsGrown(s, v.At(ts-1)) {
-			return true
-		}
-	}
-	return false
 }
 
 func (t *Tile) String() string {

@@ -42,17 +42,16 @@ const flowCat = "flow"
 // no explicit process names, the default single-process layout — pid 0
 // named "nustencil", one tid per worker — is emitted; explicit
 // SetProcessName/SetThreadName metadata replaces it (the multi-rank
-// layout: one pid per rank, one tid per chare). Then counter ("ph":"C")
-// samples per AddCounter/AddCounterPid track, flow endpoints
-// ("ph":"s"/"f") connecting halo sends to their receives, instant
-// ("ph":"i") markers, and finally one complete ("ph":"X") event per
-// recorded span carrying the tile ID, timestep range and update count as
-// args, sorted by start time. It must not be called concurrently with
-// Record.
-func (tr *Trace) WriteChromeTrace(w io.Writer, workers int) error {
+// layout: one pid per rank, one tid per chare). Then every shard's
+// counter ("ph":"C") samples, flow endpoints ("ph":"s"/"f") connecting
+// halo sends to their receives and instant ("ph":"i") markers, and
+// finally one complete ("ph":"X") event per recorded span carrying the
+// tile ID, timestep range and update count as args, sorted by start
+// time. It must not run while a worker records.
+func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 	evs := tr.collect()
 	doc := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+workers+len(tr.flows)+len(tr.instants)+2),
+		TraceEvents:     make([]chromeEvent, 0, len(evs)+len(tr.shards)+len(tr.procNames)+len(tr.threadNames)+1),
 		DisplayTimeUnit: "ms",
 	}
 	if len(tr.procNames) == 0 {
@@ -62,7 +61,7 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, workers int) error {
 			Pid:  0,
 			Args: map[string]any{"name": "nustencil"},
 		})
-		for wk := 0; wk < workers; wk++ {
+		for wk := range tr.shards {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: "thread_name",
 				Ph:   "M",
@@ -72,17 +71,23 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, workers int) error {
 			})
 		}
 	} else {
-		procs := append([]procName(nil), tr.procNames...)
-		sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
-		for _, p := range procs {
+		pids := make([]int, 0, len(tr.procNames))
+		for pid := range tr.procNames {
+			pids = append(pids, pid)
+		}
+		sort.Ints(pids)
+		for _, pid := range pids {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: "process_name",
 				Ph:   "M",
-				Pid:  p.pid,
-				Args: map[string]any{"name": p.name},
+				Pid:  pid,
+				Args: map[string]any{"name": tr.procNames[pid]},
 			})
 		}
-		threads := append([]threadName(nil), tr.threadNames...)
+		threads := make([]thread, 0, len(tr.threadNames))
+		for t := range tr.threadNames {
+			threads = append(threads, t)
+		}
 		sort.Slice(threads, func(i, j int) bool {
 			if threads[i].pid != threads[j].pid {
 				return threads[i].pid < threads[j].pid
@@ -95,47 +100,48 @@ func (tr *Trace) WriteChromeTrace(w io.Writer, workers int) error {
 				Ph:   "M",
 				Pid:  t.pid,
 				Tid:  t.tid,
-				Args: map[string]any{"name": t.name},
+				Args: map[string]any{"name": tr.threadNames[t]},
 			})
 		}
 	}
-	for _, cs := range tr.counters {
-		for _, p := range cs.points {
+	for i := range tr.shards {
+		sh := &tr.shards[i]
+		for _, p := range sh.counters {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: cs.name,
+				Name: p.name,
 				Ph:   "C",
 				Ts:   float64(p.ts) / 1e3,
-				Pid:  cs.pid,
+				Pid:  p.pid,
 				Args: map[string]any{"value": p.v},
 			})
 		}
-	}
-	for _, f := range tr.flows {
-		ev := chromeEvent{
-			Name: f.name,
-			Ph:   "f",
-			Ts:   float64(f.ts) / 1e3,
-			Pid:  f.pid,
-			Tid:  f.tid,
-			Cat:  flowCat,
-			ID:   fmt.Sprintf("0x%x", f.id),
-			Bp:   "e",
+		for _, f := range sh.flows {
+			ev := chromeEvent{
+				Name: f.name,
+				Ph:   "f",
+				Ts:   float64(f.ts) / 1e3,
+				Pid:  f.pid,
+				Tid:  f.tid,
+				Cat:  flowCat,
+				ID:   fmt.Sprintf("0x%x", f.id),
+				Bp:   "e",
+			}
+			if f.start {
+				ev.Ph, ev.Bp = "s", ""
+			}
+			doc.TraceEvents = append(doc.TraceEvents, ev)
 		}
-		if f.start {
-			ev.Ph, ev.Bp = "s", ""
+		for _, in := range sh.instants {
+			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				Name: in.name,
+				Ph:   "i",
+				Ts:   float64(in.ts) / 1e3,
+				Pid:  in.pid,
+				Tid:  in.tid,
+				S:    "t",
+				Args: in.args,
+			})
 		}
-		doc.TraceEvents = append(doc.TraceEvents, ev)
-	}
-	for _, in := range tr.instants {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: in.name,
-			Ph:   "i",
-			Ts:   float64(in.ts) / 1e3,
-			Pid:  in.pid,
-			Tid:  in.tid,
-			S:    "t",
-			Args: in.args,
-		})
 	}
 	for _, e := range evs {
 		dur := float64(e.End-e.Start) / 1e3

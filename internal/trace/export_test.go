@@ -24,14 +24,13 @@ type chromeDoc struct {
 
 func TestWriteChromeTrace(t *testing.T) {
 	t0 := time.Now()
-	tr := NewForWorkers(2)
-	tr.origin = t0
-	tr.Record(1, 7, 2, 4, 30, t0.Add(10*time.Millisecond), t0.Add(25*time.Millisecond))
-	tr.Record(0, 3, 0, 2, 10, t0, t0.Add(5*time.Millisecond))
-	tr.Record(0, 5, 2, 4, 20, t0.Add(5*time.Millisecond), t0.Add(12*time.Millisecond))
+	tr := mk(2, t0)
+	rec(tr, 1, 7, 2, 4, 30, t0.Add(10*time.Millisecond), t0.Add(25*time.Millisecond))
+	rec(tr, 0, 3, 0, 2, 10, t0, t0.Add(5*time.Millisecond))
+	rec(tr, 0, 5, 2, 4, 20, t0.Add(5*time.Millisecond), t0.Add(12*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 2); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -93,7 +92,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteChromeTrace(&buf, 1); err != nil {
+	if err := New(1).WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -105,26 +104,26 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-// A multi-rank export: explicit process/thread metadata, spans placed by
-// RecordOn, a cross-pid flow pair, instants, and per-pid counter tracks.
+// A multi-rank export: explicit process/thread metadata, spans placed on
+// explicit pids and tids, a cross-pid flow pair, instants, and per-pid
+// counter tracks.
 func TestWriteChromeTraceMultiRank(t *testing.T) {
 	t0 := time.Now()
-	tr := New()
-	tr.origin = t0
+	tr := mk(2, t0)
 	tr.SetProcessName(1, "rank 0")
 	tr.SetProcessName(2, "rank 1")
 	tr.SetThreadName(1, 3, "chare 3")
 	tr.SetThreadName(2, 5, "chare 5")
-	tr.RecordOn(1, 3, 0, "chare 3 step 0", 3, 0, 1, 100, t0, t0.Add(2*time.Millisecond))
-	tr.RecordOn(2, 5, 1, "chare 5 step 0", 5, 0, 1, 100, t0.Add(time.Millisecond), t0.Add(3*time.Millisecond))
-	tr.FlowStart(42, "halo", 1, 3, t0.Add(2*time.Millisecond))
-	tr.FlowFinish(42, "halo", 2, 5, t0.Add(4*time.Millisecond))
-	tr.AddInstant("migrate chare 3", 1, 3, t0.Add(5*time.Millisecond), map[string]any{"to": 1})
-	tr.AddCounterPid(1, "mailbox depth", t0.Add(time.Millisecond), 2)
-	tr.AddCounterPid(2, "mailbox depth", t0.Add(time.Millisecond), 1)
+	tr.Record(0, Event{Pid: 1, Tid: 3, Name: "chare 3 step 0", TileID: 3, T0: 0, T1: 1, Updates: 100}, t0, t0.Add(2*time.Millisecond))
+	tr.Record(1, Event{Pid: 2, Tid: 5, Name: "chare 5 step 0", TileID: 5, T0: 0, T1: 1, Updates: 100}, t0.Add(time.Millisecond), t0.Add(3*time.Millisecond))
+	tr.FlowStart(0, 42, "halo", 1, 3, t0.Add(2*time.Millisecond))
+	tr.FlowFinish(1, 42, "halo", 2, 5, t0.Add(4*time.Millisecond))
+	tr.AddInstant(0, "migrate chare 3", 1, 3, t0.Add(5*time.Millisecond), map[string]any{"to": 1})
+	tr.AddCounter(0, 1, "mailbox depth", t0.Add(time.Millisecond), 2)
+	tr.AddCounter(1, 2, "mailbox depth", t0.Add(time.Millisecond), 1)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 0); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := CheckChrome(buf.Bytes())
@@ -164,20 +163,16 @@ func TestWriteChromeTraceMultiRank(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	t0 := time.Now()
-	tr := NewForWorkers(2)
-	tr.origin = t0
+	tr := mk(2, t0)
 	// Worker 0 busy the whole 100ms span; worker 1 busy the middle 50ms.
-	tr.Record(0, 0, 0, 1, 40, t0, t0.Add(100*time.Millisecond))
-	tr.Record(1, 1, 0, 1, 10, t0.Add(25*time.Millisecond), t0.Add(75*time.Millisecond))
-	s := tr.Summary(2)
+	rec(tr, 0, 0, 0, 1, 40, t0, t0.Add(100*time.Millisecond))
+	rec(tr, 1, 1, 0, 1, 10, t0.Add(25*time.Millisecond), t0.Add(75*time.Millisecond))
+	s := tr.Summary()
 	if s.Tiles != 2 || s.Updates != 50 {
 		t.Fatalf("tiles=%d updates=%d", s.Tiles, s.Updates)
 	}
 	if s.Span != 100*time.Millisecond {
 		t.Errorf("span = %v", s.Span)
-	}
-	if len(s.Events) != 2 || s.Events[0].TileID != 0 {
-		t.Errorf("summary events wrong: %+v", s.Events)
 	}
 	w0, w1 := s.PerWorker[0], s.PerWorker[1]
 	if w0.Busy != 100*time.Millisecond || w0.Idle != 0 || w0.Tiles != 1 || w0.Updates != 40 {
@@ -199,7 +194,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	s := New().Summary(3)
+	s := New(3).Summary()
 	if s.Tiles != 0 || s.Span != 0 || s.Imbalance != 0 || len(s.PerWorker) != 3 {
 		t.Errorf("empty summary: %+v", s)
 	}
@@ -211,11 +206,10 @@ func TestSummaryEmpty(t *testing.T) {
 // Utilization each re-deriving it).
 func TestTimelineSingleSort(t *testing.T) {
 	t0 := time.Now()
-	tr := NewForWorkers(2)
-	tr.origin = t0
-	tr.Record(0, 0, 0, 1, 1, t0, t0.Add(10*time.Millisecond))
-	tr.Record(1, 1, 0, 1, 1, t0.Add(5*time.Millisecond), t0.Add(10*time.Millisecond))
-	tr.Timeline(2, 10)
+	tr := mk(2, t0)
+	rec(tr, 0, 0, 0, 1, 1, t0, t0.Add(10*time.Millisecond))
+	rec(tr, 1, 1, 0, 1, 1, t0.Add(5*time.Millisecond), t0.Add(10*time.Millisecond))
+	tr.Timeline(10)
 	if tr.sorts != 1 {
 		t.Errorf("Timeline sorted the event list %d times, want exactly 1", tr.sorts)
 	}
@@ -227,13 +221,12 @@ func TestTimelineSingleSort(t *testing.T) {
 // executed entirely in that window rendered as idle.
 func TestTimelineRendersTail(t *testing.T) {
 	t0 := time.Now()
-	tr := NewForWorkers(2)
-	tr.origin = t0
+	tr := mk(2, t0)
 	// Span is 100ns over 3 columns: truncated bucket = 33ns, covering only
 	// [0,99). The last event [99,100) fell entirely in the lost tail.
-	tr.Record(0, 0, 0, 1, 1, t0, t0.Add(10*time.Nanosecond))
-	tr.Record(1, 1, 0, 1, 1, t0.Add(99*time.Nanosecond), t0.Add(100*time.Nanosecond))
-	out := tr.Timeline(2, 3)
+	rec(tr, 0, 0, 0, 1, 1, t0, t0.Add(10*time.Nanosecond))
+	rec(tr, 1, 1, 0, 1, 1, t0.Add(99*time.Nanosecond), t0.Add(100*time.Nanosecond))
+	out := tr.Timeline(3)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("timeline lines = %d:\n%s", len(lines), out)
@@ -249,15 +242,14 @@ func TestTimelineRendersTail(t *testing.T) {
 // series value in args and microsecond timestamps relative to the origin.
 func TestWriteChromeTraceCounters(t *testing.T) {
 	t0 := time.Now()
-	tr := NewForWorkers(1)
-	tr.origin = t0
-	tr.Record(0, 1, 0, 1, 5, t0, t0.Add(time.Millisecond))
-	tr.AddCounter("ready tiles", t0.Add(100*time.Microsecond), 7)
-	tr.AddCounter("ready tiles", t0.Add(300*time.Microsecond), 3)
-	tr.AddCounter("idle workers", t0.Add(100*time.Microsecond), 0)
+	tr := mk(1, t0)
+	rec(tr, 0, 1, 0, 1, 5, t0, t0.Add(time.Millisecond))
+	tr.AddCounter(0, 0, "ready tiles", t0.Add(100*time.Microsecond), 7)
+	tr.AddCounter(0, 0, "ready tiles", t0.Add(300*time.Microsecond), 3)
+	tr.AddCounter(0, 0, "idle workers", t0.Add(100*time.Microsecond), 0)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 1); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc

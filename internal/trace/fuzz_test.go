@@ -17,7 +17,7 @@ import (
 // never panic, and the kinds it counts in an accepted document must add
 // up to no more than the events the document holds.
 func FuzzCheckChrome(f *testing.F) {
-	tr := trace.New()
+	tr := trace.New(2)
 	g := grid.New([]int{10, 10, 10})
 	g.FillFunc(func(pt []int) float64 { return float64(pt[0]*7+pt[1]*3+pt[2]) * 0.01 })
 	rt, err := dist.New(dist.Problem{Grid: g, Stencil: stencil.NewStar(3, 1)},
@@ -29,7 +29,7 @@ func FuzzCheckChrome(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, 2); err != nil {
+	if err := tr.WriteChromeTrace(&buf); err != nil {
 		f.Fatal(err)
 	}
 	if st, err := trace.CheckChrome(buf.Bytes()); err != nil || st.Pids != 2 || st.Flows == 0 {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,69 +25,56 @@ type Event struct {
 	End     time.Duration
 
 	// Pid and Tid place the span in the Chrome export: one pid per
-	// process (rank), one tid per lane within it. Record leaves them at
-	// pid 0 / tid == Worker (the single-process layout); RecordOn sets
-	// them explicitly. Worker stays the accounting key for
-	// Summary/Timeline/Utilization either way.
+	// process (rank), one tid per lane within it — pid 0 and tid == Worker
+	// in the single-process layout. Worker stays the accounting key for
+	// Summary and Timeline either way.
 	Pid, Tid int
 	// Name overrides the exported event name; empty renders the default
 	// "tile <id> [t<t0>,t<t1>)".
 	Name string
 }
 
-// shard is one worker's private event list, padded out to a cache line so
-// concurrent appends by neighbouring workers do not false-share the slice
-// headers.
+// shard is one worker's private record lists, padded out to a multiple of
+// a cache line so concurrent appends by neighbouring workers do not
+// false-share the slice headers.
 type shard struct {
-	events []Event
-	_      [40]byte
+	spans    []Event
+	counters []counterPoint
+	flows    []flowPoint
+	instants []instantEvent
+	_        [32]byte
 }
 
-// Trace collects events from a run. It is safe for concurrent use by the
-// engine's workers: a trace made with NewForWorkers gives each worker its
-// own shard, so recording on the execution hot path takes no lock at all.
+// Trace collects the records of a run in one shard per worker: spans,
+// counter samples, flow endpoints and instants. Worker w appends only to
+// shard w, so recording on the execution hot path takes no lock at all.
+// Between runs, while no worker records, the caller may append to any
+// shard.
 type Trace struct {
-	mu     sync.Mutex
 	origin time.Time
-	events []Event // fallback for New() traces and out-of-range workers
-	shards []shard // one per worker; each written only by that worker
-
-	// counters holds the named quantitative tracks ("ph":"C" in the Chrome
-	// export), in first-use order.
-	counters []counterSeries
+	shards []shard
 
 	// procNames and threadNames are explicit process/thread metadata for
 	// multi-process exports; when procNames is non-empty the export skips
 	// the default single-process (pid 0, one tid per worker) metadata.
-	procNames   []procName
-	threadNames []threadName
-	// flows are the recorded flow-event endpoints ("ph":"s"/"f"), and
-	// instants the point-in-time markers ("ph":"i").
-	flows    []flowPoint
-	instants []instantEvent
+	procNames   map[int]string
+	threadNames map[thread]string
 
 	// sorts counts how many times the event list was collected and sorted,
 	// so tests can assert that rendering derives it exactly once per call.
 	sorts int
 }
 
-// counterSeries is one named counter track on one process.
-type counterSeries struct {
-	pid    int
-	name   string
-	points []counterPoint
-}
+// thread keys one thread's name.
+type thread struct{ pid, tid int }
 
-// procName names one process ("process_name" metadata).
-type procName struct {
+// counterPoint is one sample of the counter track (pid, name), at an
+// offset from the trace origin.
+type counterPoint struct {
 	pid  int
 	name string
-}
-
-// threadName names one thread ("thread_name" metadata).
-type threadName struct {
-	pid, tid int
-	name     string
+	ts   time.Duration
+	v    float64
 }
 
 // flowPoint is one endpoint of a flow arrow. A start ("ph":"s") and a
@@ -111,146 +97,82 @@ type instantEvent struct {
 	args     map[string]any
 }
 
-// counterPoint is one sample of a counter track, at an offset from the
-// trace origin.
-type counterPoint struct {
-	ts time.Duration
-	v  float64
-}
-
-// AddCounter appends one sample to the named counter track (created on
-// first use). at is an absolute time, like Record's start/end; the Chrome
-// export renders each track as a quantitative lane above the workers.
-// AddCounter is not safe for concurrent use with itself or with readers —
-// callers feed tracks after the run, from samples they buffered while it
-// ran.
-func (tr *Trace) AddCounter(name string, at time.Time, v float64) {
-	tr.AddCounterPid(0, name, at, v)
-}
-
-// AddCounterPid is AddCounter on an explicit process: each (pid, name)
-// pair is its own track, so a multi-rank trace renders per-rank counter
-// lanes (halo bytes in flight, mailbox depth, chares resident). Like
-// AddCounter it is not safe for concurrent use.
-func (tr *Trace) AddCounterPid(pid int, name string, at time.Time, v float64) {
-	p := counterPoint{ts: at.Sub(tr.origin), v: v}
-	for i := range tr.counters {
-		if tr.counters[i].pid == pid && tr.counters[i].name == name {
-			tr.counters[i].points = append(tr.counters[i].points, p)
-			return
-		}
+// New returns an empty trace starting now with one shard per worker. The
+// shard count is the worker count Summary, Timeline and WriteChromeTrace
+// account for.
+func New(workers int) *Trace {
+	return &Trace{
+		origin:      time.Now(),
+		shards:      make([]shard, workers),
+		procNames:   map[int]string{},
+		threadNames: map[thread]string{},
 	}
-	tr.counters = append(tr.counters, counterSeries{pid: pid, name: name, points: []counterPoint{p}})
+}
+
+// Workers returns the trace's worker (shard) count.
+func (tr *Trace) Workers() int { return len(tr.shards) }
+
+// Record appends one execution span to worker w's shard: ev's tile ID,
+// timestep range, update count, Pid, Tid and Name, with ev.Worker set to
+// w and its Start and End to the absolute times start and end.
+func (tr *Trace) Record(w int, ev Event, start, end time.Time) {
+	ev.Worker, ev.Start, ev.End = w, start.Sub(tr.origin), end.Sub(tr.origin)
+	tr.shards[w].spans = append(tr.shards[w].spans, ev)
+}
+
+// AddCounter appends one sample of the counter track (pid, name) to
+// worker w's shard; at is an absolute time. Each (pid, name) pair is its
+// own track, which the Chrome export renders as a quantitative lane
+// above the process's threads: scheduler samples on pid 0, per-rank
+// mailbox depth, halo bytes in flight and chares resident.
+func (tr *Trace) AddCounter(w, pid int, name string, at time.Time, v float64) {
+	tr.shards[w].counters = append(tr.shards[w].counters, counterPoint{pid: pid, name: name, ts: at.Sub(tr.origin), v: v})
+}
+
+// FlowStart appends the sending end of a flow arrow ("ph":"s") to worker
+// w's shard: id and name must match the corresponding FlowFinish for
+// Perfetto to draw the arrow.
+func (tr *Trace) FlowStart(w int, id uint64, name string, pid, tid int, at time.Time) {
+	tr.shards[w].flows = append(tr.shards[w].flows, flowPoint{start: true, id: id, name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin)})
+}
+
+// FlowFinish appends the receiving end of a flow arrow ("ph":"f") to
+// worker w's shard; see FlowStart.
+func (tr *Trace) FlowFinish(w int, id uint64, name string, pid, tid int, at time.Time) {
+	tr.shards[w].flows = append(tr.shards[w].flows, flowPoint{id: id, name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin)})
+}
+
+// AddInstant appends a point-in-time marker ("ph":"i") — a chare
+// migration, an AtSync barrier — with optional args to worker w's shard.
+func (tr *Trace) AddInstant(w int, name string, pid, tid int, at time.Time, args map[string]any) {
+	tr.shards[w].instants = append(tr.shards[w].instants, instantEvent{name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin), args: args})
 }
 
 // SetProcessName attaches "process_name" metadata to pid. Any explicit
 // process name switches the export to multi-process mode: the default
 // single-process (pid 0) worker metadata is not emitted, and every
 // process and thread carrying events must be named explicitly. Not safe
-// for concurrent use.
-func (tr *Trace) SetProcessName(pid int, name string) {
-	for i := range tr.procNames {
-		if tr.procNames[i].pid == pid {
-			tr.procNames[i].name = name
-			return
-		}
-	}
-	tr.procNames = append(tr.procNames, procName{pid: pid, name: name})
-}
+// for concurrent use with itself, SetThreadName or a render.
+func (tr *Trace) SetProcessName(pid int, name string) { tr.procNames[pid] = name }
 
 // SetThreadName attaches "thread_name" metadata to (pid, tid). Not safe
-// for concurrent use.
+// for concurrent use with itself, SetProcessName or a render.
 func (tr *Trace) SetThreadName(pid, tid int, name string) {
-	for i := range tr.threadNames {
-		if tr.threadNames[i].pid == pid && tr.threadNames[i].tid == tid {
-			tr.threadNames[i].name = name
-			return
-		}
-	}
-	tr.threadNames = append(tr.threadNames, threadName{pid: pid, tid: tid, name: name})
+	tr.threadNames[thread{pid, tid}] = name
 }
 
-// FlowStart records the sending end of a flow arrow ("ph":"s"): id and
-// name must match the corresponding FlowFinish for Perfetto to draw the
-// arrow. Not safe for concurrent use — the distributed runtime folds
-// worker-local buffers through it once at run exit.
-func (tr *Trace) FlowStart(id uint64, name string, pid, tid int, at time.Time) {
-	tr.flows = append(tr.flows, flowPoint{start: true, id: id, name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin)})
-}
-
-// FlowFinish records the receiving end of a flow arrow ("ph":"f"); see
-// FlowStart. Not safe for concurrent use.
-func (tr *Trace) FlowFinish(id uint64, name string, pid, tid int, at time.Time) {
-	tr.flows = append(tr.flows, flowPoint{id: id, name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin)})
-}
-
-// AddInstant records a point-in-time marker ("ph":"i") — a chare
-// migration, an AtSync barrier — with optional args. Not safe for
-// concurrent use.
-func (tr *Trace) AddInstant(name string, pid, tid int, at time.Time, args map[string]any) {
-	tr.instants = append(tr.instants, instantEvent{name: name, pid: pid, tid: tid, ts: at.Sub(tr.origin), args: args})
-}
-
-// New returns an empty trace starting now. Record serializes on a mutex;
-// prefer NewForWorkers when the worker count is known.
-func New() *Trace {
-	return &Trace{origin: time.Now()}
-}
-
-// NewForWorkers returns an empty trace starting now with one lock-free
-// event shard per worker. Each worker index must be recorded by at most one
-// goroutine at a time (the engine's per-worker execution guarantees this),
-// and readers (Events, Span, Summary, ...) must not run concurrently with
-// Record.
-func NewForWorkers(workers int) *Trace {
-	return &Trace{origin: time.Now(), shards: make([]shard, workers)}
-}
-
-// Record adds one tile execution. start/end are absolute times.
-func (tr *Trace) Record(worker, tileID, t0, t1 int, updates int64, start, end time.Time) {
-	ev := Event{
-		Worker: worker, TileID: tileID, T0: t0, T1: t1, Updates: updates,
-		Start: start.Sub(tr.origin), End: end.Sub(tr.origin),
-		Tid: worker,
-	}
-	if worker >= 0 && worker < len(tr.shards) {
-		tr.shards[worker].events = append(tr.shards[worker].events, ev)
-		return
-	}
-	tr.mu.Lock()
-	tr.events = append(tr.events, ev)
-	tr.mu.Unlock()
-}
-
-// RecordOn adds one execution span on an explicit process/thread: pid
-// and tid place it in the Chrome export, worker attributes it for
-// Summary/Timeline accounting, and name overrides the exported event
-// name. Unlike Record it is not safe for concurrent use — the
-// distributed runtime folds worker-local buffers through it once at run
-// exit.
-func (tr *Trace) RecordOn(pid, tid, worker int, name string, tileID, t0, t1 int, updates int64, start, end time.Time) {
-	tr.events = append(tr.events, Event{
-		Worker: worker, TileID: tileID, T0: t0, T1: t1, Updates: updates,
-		Start: start.Sub(tr.origin), End: end.Sub(tr.origin),
-		Pid: pid, Tid: tid, Name: name,
-	})
-}
-
-// collect merges the shards into one event list sorted by start time. Every
-// reader goes through collect so the copy+sort happens exactly once per
-// rendering call; the derived quantities (span, utilization) are computed
-// from the returned slice instead of re-collecting.
+// collect merges the shards' spans into one list sorted by start time.
+// Every reader goes through collect so the copy+sort happens exactly once
+// per rendering call; the derived quantities (span, utilization) are
+// computed from the returned slice instead of re-collecting.
 func (tr *Trace) collect() []Event {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := len(tr.events)
+	n := 0
 	for i := range tr.shards {
-		n += len(tr.shards[i].events)
+		n += len(tr.shards[i].spans)
 	}
 	out := make([]Event, 0, n)
-	out = append(out, tr.events...)
 	for i := range tr.shards {
-		out = append(out, tr.shards[i].events...)
+		out = append(out, tr.shards[i].spans...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	tr.sorts++
@@ -272,37 +194,6 @@ func spanOf(evs []Event) time.Duration {
 	return end - evs[0].Start
 }
 
-// utilizationOf returns each worker's busy fraction of span.
-func utilizationOf(evs []Event, span time.Duration, workers int) []float64 {
-	util := make([]float64, workers)
-	if span <= 0 {
-		return util
-	}
-	for _, e := range evs {
-		if e.Worker >= 0 && e.Worker < workers {
-			util[e.Worker] += float64(e.End-e.Start) / float64(span)
-		}
-	}
-	return util
-}
-
-// Events returns a copy of the recorded events sorted by start time. It
-// must not be called concurrently with Record.
-func (tr *Trace) Events() []Event {
-	return tr.collect()
-}
-
-// Span returns the wall time from the first start to the last end.
-func (tr *Trace) Span() time.Duration {
-	return spanOf(tr.collect())
-}
-
-// Utilization returns each worker's busy fraction of the trace span.
-func (tr *Trace) Utilization(workers int) []float64 {
-	evs := tr.collect()
-	return utilizationOf(evs, spanOf(evs), workers)
-}
-
 // WorkerStat is one worker's share of a Summary.
 type WorkerStat struct {
 	Worker  int           `json:"worker"`
@@ -314,12 +205,9 @@ type WorkerStat struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// Summary is the computed digest of a trace: the sorted events, the span,
-// and per-worker busy/idle accounting — everything downstream consumers
-// previously re-derived, computed from a single collection pass.
+// Summary is the computed digest of a trace: the span and per-worker
+// busy/idle accounting, computed from a single collection pass.
 type Summary struct {
-	// Events is the full sorted event list the summary was computed from.
-	Events []Event `json:"-"`
 	// Tiles is the number of recorded tile executions.
 	Tiles int `json:"tiles"`
 	// Span is first-start to last-end wall time.
@@ -332,15 +220,14 @@ type Summary struct {
 	Imbalance float64 `json:"imbalance"`
 }
 
-// Summary computes the trace digest for the given worker count with exactly
-// one event collection. It must not be called concurrently with Record.
-func (tr *Trace) Summary(workers int) Summary {
-	return summarize(tr.collect(), workers)
+// Summary computes the trace digest, one WorkerStat per shard, with
+// exactly one event collection. It must not run while a worker records.
+func (tr *Trace) Summary() Summary {
+	return summarize(tr.collect(), len(tr.shards))
 }
 
 func summarize(evs []Event, workers int) Summary {
 	s := Summary{
-		Events:    evs,
 		Tiles:     len(evs),
 		Span:      spanOf(evs),
 		PerWorker: make([]WorkerStat, workers),
@@ -350,9 +237,6 @@ func summarize(evs []Event, workers int) Summary {
 	}
 	for _, e := range evs {
 		s.Updates += e.Updates
-		if e.Worker < 0 || e.Worker >= workers {
-			continue
-		}
 		ws := &s.PerWorker[e.Worker]
 		ws.Tiles++
 		ws.Updates += e.Updates
@@ -381,20 +265,22 @@ func summarize(evs []Event, workers int) Summary {
 
 // Timeline renders a text Gantt chart: one row per worker, time bucketed
 // into width columns, each cell showing how busy the worker was in that
-// bucket (' ' idle, '░' <50%, '▒' <90%, '█' busy).
-func (tr *Trace) Timeline(workers, width int) string {
+// bucket (' ' idle, '░' <50%, '▒' <90%, '█' busy). It must not run while
+// a worker records.
+func (tr *Trace) Timeline(width int) string {
 	if width < 1 {
 		width = 60
 	}
 	evs := tr.collect()
-	span := spanOf(evs)
+	sum := summarize(evs, len(tr.shards))
+	span := sum.Span
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline (%d tiles over %v)\n", len(evs), span.Round(time.Microsecond))
 	if span <= 0 {
 		return b.String()
 	}
 	t0 := evs[0].Start
-	buckets := make([][]float64, workers)
+	buckets := make([][]float64, len(tr.shards))
 	for w := range buckets {
 		buckets[w] = make([]float64, width)
 	}
@@ -406,9 +292,6 @@ func (tr *Trace) Timeline(workers, width int) string {
 		bucket = 1
 	}
 	for _, e := range evs {
-		if e.Worker < 0 || e.Worker >= workers {
-			continue
-		}
 		for bi := 0; bi < width; bi++ {
 			bStart := t0 + time.Duration(bi)*bucket
 			bEnd := bStart + bucket
@@ -418,8 +301,7 @@ func (tr *Trace) Timeline(workers, width int) string {
 			}
 		}
 	}
-	util := utilizationOf(evs, span, workers)
-	for w := 0; w < workers; w++ {
+	for w, ws := range sum.PerWorker {
 		fmt.Fprintf(&b, "w%-3d |", w)
 		for _, v := range buckets[w] {
 			switch {
@@ -433,7 +315,7 @@ func (tr *Trace) Timeline(workers, width int) string {
 				b.WriteRune('█')
 			}
 		}
-		fmt.Fprintf(&b, "| %3.0f%%\n", util[w]*100)
+		fmt.Fprintf(&b, "| %3.0f%%\n", ws.Utilization*100)
 	}
 	return b.String()
 }

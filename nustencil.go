@@ -207,9 +207,6 @@ type Report struct {
 	// worker ever waited). Imbalance compares totals and misses workers
 	// that idle in turns; Utilization does not.
 	Utilization float64
-	// Migrations counts chare migrations between ranks on a distributed
-	// run (Config.Ranks > 1); always 0 on the single-process path.
-	Migrations int64
 	// Dist carries the distributed-runtime digest (inter-rank traffic,
 	// halo-latency and barrier-wait distributions) on multi-rank runs;
 	// nil on the single-process path.
@@ -259,8 +256,9 @@ func utilization(busy []time.Duration, seconds float64) float64 {
 // derivation, and the per-tile traversal construction — the execute path
 // only indexes into the plan.
 type plan struct {
-	tiles []*spacetime.Tile
-	deps  [][]int
+	timesteps int
+	tiles     []*spacetime.Tile
+	deps      [][]int
 	// trav[id] is tile id's in-tile step order (plan-relative timesteps);
 	// interning it here removes the per-tile-per-run traversal allocation
 	// that otherwise dominates steady-state runs.
@@ -287,7 +285,9 @@ type Solver struct {
 	scheme tiling.Scheme
 	op     *stencil.Op // built once; grid, stencil and coefficients are fixed for the solver's lifetime
 	steps  int         // timesteps already run, for buffer parity
-	plans  map[int]*plan
+	// plan is the cached plan of the last step count run; a run of
+	// another count replaces it.
+	plan *plan
 	// boxes are the scheme's Phase-I placement (tiling.Placement): box w
 	// is the part of the grid worker w fills and so first-touches. placed
 	// records that the grid's page-owner model holds them.
@@ -580,8 +580,8 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 	if cfg.Periodic {
 		wrap = s.g.Dims()
 	}
-	pl := s.plans[timesteps]
-	if pl == nil {
+	pl := s.plan
+	if pl == nil || pl.timesteps != timesteps {
 		p := s.problem(timesteps)
 		// A grid no fill has placed yet is placed by this first run, as
 		// the scheme's Distribute places it.
@@ -602,11 +602,8 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 		if err := engine.CheckDeps(deps); err != nil {
 			return rep, nil, nil, err
 		}
-		pl = &plan{tiles: tiles, deps: deps, trav: trav}
-		if s.plans == nil {
-			s.plans = make(map[int]*plan)
-		}
-		s.plans[timesteps] = pl
+		pl = &plan{timesteps: timesteps, tiles: tiles, deps: deps, trav: trav}
+		s.plan = pl
 	}
 	tiles := pl.tiles
 
@@ -643,12 +640,12 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 	}
 	var tr *trace.Trace
 	if traced {
-		tr = trace.NewForWorkers(cfg.Workers)
+		tr = trace.New(cfg.Workers)
 		inner := exec
 		exec = func(w int, tile *spacetime.Tile) int64 {
 			t0 := time.Now()
 			n := inner(w, tile)
-			tr.Record(w, tile.ID, tile.T0, tile.T1(), n, t0, time.Now())
+			tr.Record(w, trace.Event{TileID: tile.ID, T0: tile.T0, T1: tile.T1(), Updates: n, Tid: w}, t0, time.Now())
 			return n
 		}
 	}
@@ -697,16 +694,17 @@ func (s *Solver) runSteps(ctx context.Context, spec RunSpec) (Report, *Trace, *P
 		pc = cnt.perf(counters, s.st, rep.Seconds)
 		if traced {
 			// The scheduler samples become Chrome trace counter tracks,
-			// graphed above the worker lanes.
+			// graphed above the worker lanes; no worker records now, so
+			// they go to shard 0.
 			for _, smp := range counters.Samples {
 				at := start.Add(smp.Elapsed)
-				tr.AddCounter("ready tiles", at, float64(smp.ReadyTiles))
-				tr.AddCounter("idle workers", at, float64(smp.IdleWorkers))
+				tr.AddCounter(0, 0, "ready tiles", at, float64(smp.ReadyTiles))
+				tr.AddCounter(0, 0, "idle workers", at, float64(smp.IdleWorkers))
 			}
 		}
 	}
 	if traced {
-		return rep, &Trace{tr: tr, workers: cfg.Workers}, pc, nil
+		return rep, &Trace{tr: tr}, pc, nil
 	}
 	return rep, nil, pc, nil
 }

@@ -74,7 +74,6 @@ type reportJSON struct {
 	Kernel           string              `json:"kernel"`
 	UpdatesPerWorker []int64             `json:"updates_per_worker,omitempty"`
 	Scheduler        []SchedulerCounters `json:"scheduler,omitempty"`
-	Migrations       int64               `json:"migrations,omitempty"`
 	Dist             *DistStats          `json:"dist,omitempty"`
 }
 
@@ -95,7 +94,6 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		Kernel:           r.Kernel,
 		UpdatesPerWorker: r.UpdatesPerWorker,
 		Scheduler:        r.Sched,
-		Migrations:       r.Migrations,
 		Dist:             r.Dist,
 	})
 }
@@ -120,7 +118,6 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		Kernel:           w.Kernel,
 		UpdatesPerWorker: w.UpdatesPerWorker,
 		Sched:            w.Scheduler,
-		Migrations:       w.Migrations,
 		Dist:             w.Dist,
 	}
 	return nil
@@ -160,26 +157,25 @@ func (d *DistStats) NetworkBytes() int64 { return d.HaloBytes + d.MigrationBytes
 // (Timeline), exports as Chrome trace-event JSON (WriteChromeTrace) and
 // digests into per-worker busy/idle accounting (Summary).
 type Trace struct {
-	tr      *trace.Trace
-	workers int
+	tr *trace.Trace
 }
 
 // Timeline renders the trace as a text Gantt chart, width columns wide.
 func (t *Trace) Timeline(width int) string {
-	return t.tr.Timeline(t.workers, width)
+	return t.tr.Timeline(width)
 }
 
 // WriteChromeTrace writes the trace in Chrome trace-event JSON, loadable in
 // Perfetto or chrome://tracing: one track per worker, one complete event
 // per executed tile carrying the tile ID, timestep range and update count.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	return t.tr.WriteChromeTrace(w, t.workers)
+	return t.tr.WriteChromeTrace(w)
 }
 
 // Summary computes the trace digest: span, per-worker busy/idle time and
 // utilization, and busy-time imbalance.
 func (t *Trace) Summary() TraceSummary {
-	s := t.tr.Summary(t.workers)
+	s := t.tr.Summary()
 	out := TraceSummary{
 		Tiles:     s.Tiles,
 		Span:      s.Span,

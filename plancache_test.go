@@ -72,8 +72,8 @@ func TestStructuralPlanErrorRejected(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatalf("rejected plan poisoned the solver: %v", err)
 		}
-		if len(s.plans) != 0 {
-			t.Fatalf("rejected plan was cached (%d plans)", len(s.plans))
+		if s.plan != nil {
+			t.Fatalf("rejected plan was cached")
 		}
 		after := s.Export(nil)
 		for i := range before {
@@ -86,13 +86,19 @@ func TestStructuralPlanErrorRejected(t *testing.T) {
 
 // TestPlanCacheReusesTiling: a second Execute with the same timestep count
 // must reuse the cached plan (tiler not re-invoked), while a different
-// timestep count must rebuild.
+// timestep count must rebuild. The solver holds one plan, the last step
+// count's: alternating counts rebuild it each time and stay bit-exact
+// with one run of all their steps.
 func TestPlanCacheReusesTiling(t *testing.T) {
-	s, err := NewSolver(Config{Dims: []int{18, 18, 18}, Timesteps: 4, Scheme: NuCORALS, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *Solver {
+		s, err := NewSolver(Config{Dims: []int{18, 18, 18}, Timesteps: 4, Scheme: NuCORALS, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetInitial(func(pt []int) float64 { return float64(pt[0] + pt[1]) })
+		return s
 	}
-	s.SetInitial(func(pt []int) float64 { return float64(pt[0] + pt[1]) })
+	s := mk()
 	cs := &countingScheme{Scheme: s.scheme}
 	s.scheme = cs
 
@@ -114,18 +120,30 @@ func TestPlanCacheReusesTiling(t *testing.T) {
 	if cs.tilesCalls != 2 {
 		t.Fatalf("different timestep count reused a stale plan (%d tiler calls, want 2)", cs.tilesCalls)
 	}
-	// Both plans stay cached: replaying either count stays tiler-free.
+	// Only the last count's plan stays: alternating counts rebuild it.
 	if _, err := s.Execute(nil, RunSpec{Timesteps: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Execute(nil, RunSpec{Timesteps: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if cs.tilesCalls != 2 {
-		t.Fatalf("replaying cached timestep counts rebuilt (%d tiler calls, want 2)", cs.tilesCalls)
+	if cs.tilesCalls != 4 {
+		t.Fatalf("alternating timestep counts made %d tiler calls, want 4", cs.tilesCalls)
 	}
-	if len(s.plans) != 2 {
-		t.Fatalf("plan cache holds %d plans, want 2", len(s.plans))
+	if s.plan == nil || s.plan.timesteps != 2 {
+		t.Fatalf("solver holds plan %+v, want the 2-step plan", s.plan)
+	}
+	// The same 16 steps (4+4+2+4+2) in one Execute on a fresh solver:
+	// every cell agrees bit for bit.
+	ref := mk()
+	if _, err := ref.Execute(nil, RunSpec{Timesteps: 16}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.Export(nil), ref.Export(nil)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d: %v after alternating counts, %v on the reference", i, got[i], want[i])
+		}
 	}
 }
 
@@ -148,7 +166,7 @@ func TestPlanCachePerSolver(t *testing.T) {
 	if _, err := b.Execute(nil, RunSpec{Timesteps: 3}); err != nil {
 		t.Fatal(err)
 	}
-	pa, pb := a.plans[3], b.plans[3]
+	pa, pb := a.plan, b.plan
 	if pa == nil || pb == nil {
 		t.Fatal("plan not cached")
 	}

@@ -389,10 +389,9 @@ func (c *Coordinator) run(j *Job) {
 	}
 	if out != nil && out.Report.Dist != nil {
 		c.metrics.AddDist(out.Report.Dist)
-		if out.Report.Migrations > 0 {
+		if d := out.Report.Dist; d.Migrations > 0 {
 			c.log.Info("job migrated chares", "job", j.ID, "tenant", j.Tenant,
-				"migrations", out.Report.Migrations,
-				"migration_bytes", out.Report.Dist.MigrationBytes)
+				"migrations", d.Migrations, "migration_bytes", d.MigrationBytes)
 		}
 	}
 	attrs := []any{"job", j.ID, "tenant", j.Tenant,
